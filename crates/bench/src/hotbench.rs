@@ -510,15 +510,14 @@ pub fn run(quick: bool) -> BenchReport {
         acc
     });
 
-    // Scenario family 2c: the staged sweep kernel. A single-axis fclock
-    // sweep's stage plan proves the communication terms uniform, so the
-    // kernel hoists both comm divides out of the point loop (the batched
-    // face of the comm-stage skip). The baseline is the pre-stage-graph
-    // eager kernel — forced here by adding a broadcast `alpha_write` column
-    // at the base value, which marks the comm stage varied and sends the
-    // same `speedup_batch` call down the general per-point loop exactly as
-    // every sweep ran before the stage plan existed. Outputs are
-    // bit-identical; only the per-point arithmetic differs.
+    // Scenario family 2c: the comm-uniform sweep kernel ("staged" in the
+    // scenario names). No column of a single-axis fclock sweep writes a
+    // communication input, so the kernel hoists both comm divides out of the
+    // point loop. The baseline is the eager kernel, forced here by adding a
+    // broadcast `alpha_write` column at the base value: that column marks
+    // the comm terms varied and sends the same `speedup_batch` call down
+    // the general per-point loop. Outputs are bit-identical; only the
+    // per-point arithmetic differs.
     let sweep_points: Vec<f64> = (0..BATCH_CHUNK)
         .map(|i| 75.0e6 + 75.0e6 * (i as f64 / BATCH_CHUNK as f64))
         .collect();
@@ -788,9 +787,9 @@ pub fn run(quick: bool) -> BenchReport {
             speedup: per_rep("speedup_kernel_scalar") / per_rep("speedup_kernel_batch"),
         },
         BenchRatio {
-            // The stage-graph acceptance ratio: a single-axis sweep through
-            // the staged kernel vs the eager per-point comm recomputation it
-            // replaced. The perf gate pins this at >= 1.5x.
+            // A single-axis sweep through the comm-uniform kernel vs the
+            // eager per-point comm recomputation. The perf gate pins this at
+            // >= 1.5x.
             name: "sweep_staged_vs_eager",
             speedup: per_rep("sweep_kernel_eager_comm") / per_rep("sweep_kernel_staged"),
         },

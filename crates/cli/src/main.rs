@@ -18,6 +18,7 @@
 //! `rat serve` daemon, so a server response body is byte-identical to this
 //! CLI's stdout for the same request (see DESIGN.md §14).
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use rat_core::engine::{Engine, EngineConfig};
@@ -80,6 +81,8 @@ enum CliError {
         /// Underlying filesystem error, rendered via the source chain.
         source: std::io::Error,
     },
+    /// Writing the command output to stdout failed.
+    Stdout(std::io::Error),
 }
 
 impl CliError {
@@ -98,7 +101,7 @@ impl CliError {
                 RatError::Simulation(_) => 5,
                 RatError::CacheIo(_) => 6,
             },
-            CliError::Io { .. } | CliError::CacheEnv { .. } => 6,
+            CliError::Io { .. } | CliError::CacheEnv { .. } | CliError::Stdout(_) => 6,
         }
     }
 }
@@ -114,6 +117,7 @@ impl std::fmt::Display for CliError {
             CliError::CacheEnv { path, .. } => {
                 write!(f, "opening simulator cache (RAT_SIM_CACHE) at {path}")
             }
+            CliError::Stdout(_) => write!(f, "writing to stdout"),
         }
     }
 }
@@ -121,7 +125,9 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Io { source, .. } | CliError::CacheEnv { source, .. } => Some(source),
+            CliError::Io { source, .. }
+            | CliError::CacheEnv { source, .. }
+            | CliError::Stdout(source) => Some(source),
             CliError::Context { source, .. } => Some(source),
             _ => None,
         }
@@ -182,12 +188,13 @@ fn main() -> ExitCode {
         );
         dispatch(&engine, &flags.rest)
     };
-    let code = match result {
-        Ok(output) => {
-            println!("{output}");
+    let code = match result.and_then(|output| print_stdout(&output)) {
+        Ok(()) => {
             report_engine_stats(&engine);
             ExitCode::SUCCESS
         }
+        // The reader closed the pipe early (`rat ... | head`): not a failure.
+        Err(CliError::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(err) => {
             report_error(&err);
             ExitCode::from(err.exit_code())
@@ -206,6 +213,15 @@ fn main() -> ExitCode {
     }
     flush_global_cache();
     code
+}
+
+/// Write `text` and a newline to stdout. Unlike `println!`, a failed write
+/// (a closed pipe) is returned rather than a panic.
+fn print_stdout(text: &str) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{text}")
+        .and_then(|()| out.flush())
+        .map_err(CliError::Stdout)
 }
 
 /// Write the global simulator cache's batched inserts to disk. The global
@@ -902,9 +918,8 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
 }
 
 /// `rat watch`: poll the worksheet file and re-run the analysis whenever its
-/// contents change. Renders go through the staged solve path, so only the
-/// stages whose inputs actually changed recompute; the per-render stderr line
-/// reports each stage's hit/miss so the skipping is visible.
+/// contents change. Each render prints the `rat analyze` report on stdout
+/// and one `watch[k]: ...` status line on stderr.
 ///
 /// The first render happens immediately and its errors are fatal (a watch on
 /// an unreadable or invalid worksheet is a mistake worth stopping for).
@@ -920,7 +935,7 @@ fn watch(path: Option<&String>, poll_ms: u64, max_renders: u64) -> Result<String
     if max_renders == 1 {
         return Ok(first);
     }
-    println!("{first}");
+    print_stdout(&first)?;
     loop {
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
         let next = match watch_digest(path) {
@@ -940,7 +955,7 @@ fn watch(path: Option<&String>, poll_ms: u64, max_renders: u64) -> Result<String
                 if max_renders != 0 && renders >= max_renders {
                     return Ok(out);
                 }
-                println!("{out}");
+                print_stdout(&out)?;
             }
             Err(err) => report_error(&err),
         }
@@ -963,30 +978,12 @@ fn watch_digest(path: &String) -> Result<u64, CliError> {
     Ok(hash)
 }
 
-/// One watch render: re-parse the worksheet, run the staged analysis, and
-/// report per-stage cache hit/miss on stderr from the session-counter delta.
-/// A stage counts as "hit" only if it recorded no misses this render.
+/// One watch render: re-parse the worksheet, run the analysis, and report
+/// the render on stderr.
 fn watch_render(path: &String, k: u64) -> Result<String, CliError> {
-    use rat_core::solve::stages::{self, Stage};
-    let before = stages::session_counters();
     let input = load_worksheet(Some(path))?;
     let report = Worksheet::new(input).analyze()?;
-    let delta = stages::session_counters().since(&before);
-    let mut status = format!("watch[{k}]: stages");
-    for stage in [Stage::Comm, Stage::Comp, Stage::Overlap, Stage::Speedup] {
-        let verdict = if delta.misses_for(stage) == 0 && delta.hits_for(stage) > 0 {
-            "hit"
-        } else {
-            "miss"
-        };
-        status.push_str(&format!(" {}={verdict}", stage.name()));
-    }
-    status.push_str(&format!(
-        " (hits {}, misses {})",
-        delta.total_hits(),
-        delta.total_misses()
-    ));
-    eprintln!("{status}");
+    eprintln!("watch[{k}]: rendered {path}");
     Ok(report.render())
 }
 
@@ -996,9 +993,9 @@ fn usage() -> String {
 USAGE:
   rat analyze <worksheet.toml> [--markdown] run the RAT worksheet, print the report
   rat watch <worksheet.toml> [--poll-ms N] [--max-renders N]
-                                            re-render on worksheet change; the
-                                            stage cache recomputes only dirtied
-                                            stages (hit/miss shown on stderr)
+                                            re-render whenever the worksheet's
+                                            contents change (one status line
+                                            per render on stderr)
   rat clocks <worksheet.toml> <MHz>...      analyze the design at several clocks
   rat solve <worksheet.toml> <speedup> [--strict]
                                             required throughput_proc / fclock / alpha

@@ -9,14 +9,15 @@
 use crate::engine::Engine;
 use crate::error::RatError;
 use crate::params::RatInput;
-use crate::solve::batch::{speedup_batch, BatchPoints};
+use crate::solve::batch::{speedup_batch, speedup_batch_indexed, BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::TextTable;
 use crate::throughput;
 use serde::{Deserialize, Serialize};
 
 /// Elasticity of speedup with respect to one parameter:
-/// `(d speedup / speedup) / (d p / p)`, estimated by central finite difference.
+/// `(d speedup / speedup) / (d p / p)`, estimated by finite difference (see
+/// [`elasticity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Sensitivity {
     /// The parameter varied.
@@ -47,6 +48,10 @@ pub const SCANNED_PARAMS: [SweepParam; 6] = [
 
 /// Compute the elasticity of speedup with respect to `param` at `input`,
 /// using a central difference with relative step `h` (e.g. `1e-4`).
+///
+/// When the up-probe `p0 * (1 + h)` leaves the parameter's domain — an
+/// alpha already at its bound of 1.0 — the estimate falls back to the
+/// one-sided backward difference `(s0 - s_down) / (s0 * h)`.
 pub fn elasticity(input: &RatInput, param: SweepParam, h: f64) -> Result<f64, RatError> {
     input.validate()?;
     if !(h.is_finite() && h > 0.0 && h < 0.5) {
@@ -55,15 +60,26 @@ pub fn elasticity(input: &RatInput, param: SweepParam, h: f64) -> Result<f64, Ra
         )));
     }
     let p0 = param.read(input);
+    let down = p0 * (1.0 - h);
     // The up/down probe pair is a 2-point batch: same float chain as the old
     // per-point path (bit-identical), and the batch kernel's lowest-index
     // error contract preserves the up-before-down validation order.
     let mut points = BatchPoints::new(input, 2);
-    points.push_column(param, vec![p0 * (1.0 + h), p0 * (1.0 - h)]);
-    let probes = speedup_batch(&points)?;
+    points.push_column(param, vec![p0 * (1.0 + h), down]);
     let s0 = throughput::speedup(input);
-    let ds = probes[0] - probes[1];
-    Ok((ds / s0) / (2.0 * h))
+    match speedup_batch_indexed(&points) {
+        Ok(probes) => {
+            let ds = probes[0] - probes[1];
+            Ok((ds / s0) / (2.0 * h))
+        }
+        Err((0, _)) => {
+            let mut points = BatchPoints::new(input, 1);
+            points.push_column(param, vec![down]);
+            let s_down = speedup_batch(&points)?[0];
+            Ok((s0 - s_down) / (s0 * h))
+        }
+        Err((_, e)) => Err(e),
+    }
 }
 
 /// Scan all of [`SCANNED_PARAMS`] and rank by absolute elasticity.
@@ -167,12 +183,47 @@ mod tests {
         assert!(elasticity(&pdf1d_example(), SweepParam::Fclock, 0.9).is_err());
     }
 
+    /// An alpha at its bound of 1.0 is legal, but the up-probe `1.0 * (1+h)`
+    /// is not: the estimate is the backward difference, on the same float
+    /// chain as the scalar path.
+    fn assert_backward_difference_at_bound(input: &RatInput, param: SweepParam) {
+        let h = 1e-4;
+        let s0 = throughput::speedup(input);
+        let down = param.apply(input, param.read(input) * (1.0 - h));
+        let expect = (s0 - throughput::speedup(&down)) / (s0 * h);
+        let got = elasticity(input, param, h).unwrap();
+        assert!(got.is_finite(), "{param:?}: {got}");
+        assert_eq!(got.to_bits(), expect.to_bits(), "{param:?}");
+    }
+
     #[test]
-    fn step_near_alpha_bound_errors_not_nans() {
+    fn alpha_write_at_bound_falls_back_to_backward_difference() {
         let mut input = pdf1d_example();
-        input.comm.alpha_write = 1.0; // 1.0 * (1+h) exceeds the bound
-        let err = elasticity(&input, SweepParam::AlphaWrite, 1e-4);
-        assert!(err.is_err());
+        input.comm.alpha_write = 1.0;
+        assert_backward_difference_at_bound(&input, SweepParam::AlphaWrite);
+        // The other parameters' up-probes stay in range: central as before.
+        assert!(elasticity(&input, SweepParam::Fclock, 1e-4).is_ok());
+        assert!(analyze(&input).is_ok());
+    }
+
+    #[test]
+    fn alpha_read_at_bound_falls_back_to_backward_difference() {
+        let mut input = pdf1d_example();
+        input.comm.alpha_read = 1.0;
+        assert_backward_difference_at_bound(&input, SweepParam::AlphaRead);
+        assert!(analyze(&input).is_ok());
+    }
+
+    #[test]
+    fn alpha_both_at_bound_falls_back_to_backward_difference() {
+        // AlphaBoth scales alpha_read with alpha_write, so alpha_read = 1.0
+        // puts its up-probe out of range even though alpha_write is not.
+        let mut input = pdf1d_example();
+        input.comm.alpha_read = 1.0;
+        assert_backward_difference_at_bound(&input, SweepParam::AlphaBoth);
+        let mut input = pdf1d_example();
+        input.comm.alpha_write = 1.0;
+        assert_backward_difference_at_bound(&input, SweepParam::AlphaBoth);
     }
 
     #[test]

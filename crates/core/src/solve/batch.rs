@@ -43,7 +43,6 @@ use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::quantity::Seconds;
 use crate::report::Report;
-use crate::solve::stages::{self, BatchStagePlan};
 use crate::sweep::SweepParam;
 use crate::telemetry::{self, Metric};
 use crate::throughput::ThroughputPrediction;
@@ -143,39 +142,21 @@ impl<'a> BatchPoints<'a> {
         }
     }
 
-    /// Which analytic stages vary across this batch, derived structurally
-    /// from which fields the columns write (see
-    /// [`stages::BatchStagePlan`]). A stage counts as varying when *any*
-    /// column writes a field it reads, independent of the column's values.
-    pub fn stage_plan(&self) -> BatchStagePlan {
-        let mut comm = false;
-        let mut comp = false;
-        let mut iters = false;
-        for (param, _) in &self.columns {
-            match param {
-                SweepParam::AlphaWrite | SweepParam::AlphaRead | SweepParam::AlphaBoth => {
-                    comm = true;
-                }
-                SweepParam::Fclock | SweepParam::ThroughputProc | SweepParam::OpsPerElement => {
-                    comp = true;
-                }
-                // elements_in feeds both the byte count and the op count.
-                SweepParam::ElementsIn => {
-                    comm = true;
-                    comp = true;
-                }
-                SweepParam::Iterations => iters = true,
-            }
-        }
-        let overlap = comm || comp || iters;
-        BatchStagePlan {
-            comm_varies: comm,
-            comp_varies: comp,
-            overlap_varies: overlap,
-            // t_soft is a base constant, so speedup varies exactly when the
-            // execution-time terms do.
-            speedup_varies: overlap,
-        }
+    /// Whether every point shares the base's communication terms: no column
+    /// writes a field Eqs. (1)–(3) read (the alphas or `elements_in`),
+    /// whatever the column's values. The speedup kernels then hoist
+    /// `t_write`, `t_read` and `t_comm` out of the point loop.
+    pub fn comm_uniform(&self) -> bool {
+        !self.columns.iter().any(|(param, _)| {
+            matches!(
+                param,
+                SweepParam::AlphaWrite
+                    | SweepParam::AlphaRead
+                    | SweepParam::AlphaBoth
+                    // elements_in feeds the byte count as well as the op count.
+                    | SweepParam::ElementsIn
+            )
+        })
     }
 }
 
@@ -484,7 +465,7 @@ fn point_terms(base: &RatInput, d: &Decoded, i: usize, bw: f64, bytes_out: u64) 
     (t_write, t_read, t_comp)
 }
 
-fn eval_speedups(base: &RatInput, d: &Decoded, plan: &BatchStagePlan) -> Vec<f64> {
+fn eval_speedups(base: &RatInput, d: &Decoded, comm_uniform: bool) -> Vec<f64> {
     let mut out = vec![0.0_f64; d.n];
     // Runtime dispatch, mirroring the ChaCha8 bulk-draw pattern: the AVX2
     // kernel evaluates four lanes per iteration with per-lane IEEE-identical
@@ -495,11 +476,11 @@ fn eval_speedups(base: &RatInput, d: &Decoded, plan: &BatchStagePlan) -> Vec<f64
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_enabled() && d.n >= 4 {
         // SAFETY: AVX2 support was verified at runtime by `avx2_enabled`.
-        let done = unsafe { simd::eval_speedups_avx2(base, d, plan, &mut out) };
-        eval_speedups_scalar(base, d, plan, done, &mut out);
+        let done = unsafe { simd::eval_speedups_avx2(base, d, comm_uniform, &mut out) };
+        eval_speedups_scalar(base, d, comm_uniform, done, &mut out);
         return out;
     }
-    eval_speedups_scalar(base, d, plan, 0, &mut out);
+    eval_speedups_scalar(base, d, comm_uniform, 0, &mut out);
     out
 }
 
@@ -509,25 +490,24 @@ fn eval_speedups(base: &RatInput, d: &Decoded, plan: &BatchStagePlan) -> Vec<f64
 fn eval_speedups_scalar(
     base: &RatInput,
     d: &Decoded,
-    plan: &BatchStagePlan,
+    comm_uniform: bool,
     lo: usize,
     out: &mut [f64],
 ) {
     let bw = base.comm.ideal_bandwidth.bytes_per_sec();
     let bytes_out = base.dataset.elements_out * base.dataset.bytes_per_element;
     let t_soft = base.software.t_soft.seconds();
-    // When no column writes a communication-stage input, the comm terms are
-    // the same at every point: compute them once from the base (a uniform
-    // field holds exactly the base value, so this is bit-identical to the
-    // per-point expressions) and drop two divides from the inner loop. This
-    // is the batched face of the comm-stage skip.
-    if !plan.comm_varies {
+    // When no column writes a communication input, the comm terms are the
+    // same at every point: compute them once from the base (a uniform field
+    // holds exactly the base value, so this is bit-identical to the
+    // per-point expressions) and drop two divides from the inner loop.
+    if comm_uniform {
         let bytes_in = base.dataset.elements_in * base.dataset.bytes_per_element;
         let t_write = bytes_in as f64 / (base.comm.alpha_write * bw);
         let t_read = bytes_out as f64 / (base.comm.alpha_read * bw);
         let t_comm = t_write + t_read;
-        // A comm-uniform plan means no column writes `elements_in` (it is a
-        // comm-stage input), so the per-point factor is one hoisted scalar.
+        // A comm-uniform batch has no `elements_in` column (it is a comm
+        // input), so the per-point factor is one hoisted scalar.
         let elems = base.dataset.elements_in as f64;
         match base.buffering {
             Buffering::Single => {
@@ -582,14 +562,12 @@ pub fn speedup_batch(points: &BatchPoints) -> Result<Vec<f64>, RatError> {
 /// indices back to their own domain (corner numbers, sample indices) need the
 /// index to keep error attribution deterministic.
 pub fn speedup_batch_indexed(points: &BatchPoints) -> Result<Vec<f64>, (usize, RatError)> {
-    let plan = points.stage_plan();
     let d = decode(points);
     if let Some(bad) = first_error(points, &d) {
         return Err(bad);
     }
     telemetry::add(Metric::BatchPoints, points.len as u64);
-    stages::record_batch(&plan, points.len as u64);
-    Ok(eval_speedups(points.base, &d, &plan))
+    Ok(eval_speedups(points.base, &d, points.comm_uniform()))
 }
 
 /// Evaluate the **full worksheet** for every point: `out[i]` is bit-identical
@@ -603,7 +581,6 @@ pub fn solve_batch(points: &BatchPoints) -> Result<Vec<Report>, RatError> {
         return Err(e);
     }
     telemetry::add(Metric::BatchPoints, points.len as u64);
-    stages::record_batch(&points.stage_plan(), points.len as u64);
     let base = points.base;
     let bw = base.comm.ideal_bandwidth.bytes_per_sec();
     let bytes_out = base.dataset.elements_out * base.dataset.bytes_per_element;
@@ -782,36 +759,28 @@ mod tests {
     }
 
     #[test]
-    fn stage_plan_marks_exactly_the_written_stages() {
+    fn comm_uniform_is_false_exactly_when_a_column_writes_a_comm_input() {
         let base = pdf1d_example();
         let mut points = BatchPoints::new(&base, 3);
         points.push_column(SweepParam::Fclock, vec![75.0e6, 100.0e6, 150.0e6]);
-        assert_eq!(
-            points.stage_plan(),
-            BatchStagePlan {
-                comm_varies: false,
-                comp_varies: true,
-                overlap_varies: true,
-                speedup_varies: true,
-            }
-        );
-        let mut points = BatchPoints::new(&base, 2);
-        points.push_column(SweepParam::AlphaRead, vec![0.5, 0.6]);
-        let plan = points.stage_plan();
-        assert!(plan.comm_varies && !plan.comp_varies && plan.overlap_varies);
-        // elements_in feeds both sides of the model.
-        let mut points = BatchPoints::new(&base, 2);
-        points.push_column(SweepParam::ElementsIn, vec![256.0, 512.0]);
-        let plan = points.stage_plan();
-        assert!(plan.comm_varies && plan.comp_varies);
-        // iterations alone leaves both per-iteration stages uniform.
+        assert!(points.comm_uniform());
+        for param in [
+            SweepParam::AlphaWrite,
+            SweepParam::AlphaRead,
+            SweepParam::AlphaBoth,
+            // elements_in feeds both sides of the model.
+            SweepParam::ElementsIn,
+        ] {
+            let mut points = BatchPoints::new(&base, 2);
+            points.push_column(param, vec![0.5, 0.6]);
+            assert!(!points.comm_uniform(), "{param:?}");
+        }
+        // iterations alone leaves the per-iteration comm terms uniform.
         let mut points = BatchPoints::new(&base, 2);
         points.push_column(SweepParam::Iterations, vec![100.0, 200.0]);
-        let plan = points.stage_plan();
-        assert!(!plan.comm_varies && !plan.comp_varies && plan.overlap_varies);
+        assert!(points.comm_uniform());
         // No columns at all: everything uniform.
-        let plan = BatchPoints::new(&base, 4).stage_plan();
-        assert!(!plan.overlap_varies && !plan.speedup_varies);
+        assert!(BatchPoints::new(&base, 4).comm_uniform());
     }
 
     #[test]

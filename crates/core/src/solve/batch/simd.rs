@@ -30,7 +30,6 @@
 
 use super::{ColF, ColU, Decoded};
 use crate::params::{Buffering, RatInput};
-use crate::solve::stages::BatchStagePlan;
 use std::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_div_pd,
     _mm256_loadu_pd, _mm256_max_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd,
@@ -187,14 +186,14 @@ unsafe fn vmax(a: __m256d, b: __m256d) -> __m256d {
 pub(super) unsafe fn eval_speedups_avx2(
     base: &RatInput,
     d: &Decoded,
-    plan: &BatchStagePlan,
+    comm_uniform: bool,
     out: &mut [f64],
 ) -> usize {
-    match (plan.comm_varies, base.buffering) {
-        (false, Buffering::Single) => kernel::<false, false>(base, d, out),
-        (false, Buffering::Double) => kernel::<false, true>(base, d, out),
-        (true, Buffering::Single) => kernel::<true, false>(base, d, out),
-        (true, Buffering::Double) => kernel::<true, true>(base, d, out),
+    match (comm_uniform, base.buffering) {
+        (true, Buffering::Single) => kernel::<false, false>(base, d, out),
+        (true, Buffering::Double) => kernel::<false, true>(base, d, out),
+        (false, Buffering::Single) => kernel::<true, false>(base, d, out),
+        (false, Buffering::Double) => kernel::<true, true>(base, d, out),
     }
 }
 
@@ -336,7 +335,7 @@ mod tests {
 
     /// Environment-independent bit-identity: drive the AVX2 kernel and the
     /// scalar kernel directly (no runtime dispatch involved) over every
-    /// plan/buffering combination, including awkward tails.
+    /// comm-uniform/buffering combination, including awkward tails.
     #[test]
     fn avx2_kernel_matches_scalar_kernel_bit_for_bit() {
         if !std::arch::is_x86_feature_detected!("avx2") {
@@ -360,14 +359,15 @@ mod tests {
                             .collect();
                         points.push_column(param, values);
                     }
-                    let plan = points.stage_plan();
+                    let comm_uniform = points.comm_uniform();
                     let d = decode(&points);
                     let mut scalar = vec![0.0_f64; n];
-                    eval_speedups_scalar(&base, &d, &plan, 0, &mut scalar);
+                    eval_speedups_scalar(&base, &d, comm_uniform, 0, &mut scalar);
                     let mut vector = vec![0.0_f64; n];
                     // SAFETY: AVX2 presence checked above.
-                    let done = unsafe { super::eval_speedups_avx2(&base, &d, &plan, &mut vector) };
-                    eval_speedups_scalar(&base, &d, &plan, done, &mut vector);
+                    let done =
+                        unsafe { super::eval_speedups_avx2(&base, &d, comm_uniform, &mut vector) };
+                    eval_speedups_scalar(&base, &d, comm_uniform, done, &mut vector);
                     assert_eq!(done, n & !3);
                     for i in 0..n {
                         assert_eq!(
@@ -403,14 +403,14 @@ mod tests {
                 .map(|k| 1e-300 * (k + 1) as f64)
                 .collect::<Vec<f64>>(),
         );
-        let plan = points.stage_plan();
+        let comm_uniform = points.comm_uniform();
         let d = decode(&points);
         let mut scalar = vec![0.0_f64; n];
-        eval_speedups_scalar(&base, &d, &plan, 0, &mut scalar);
+        eval_speedups_scalar(&base, &d, comm_uniform, 0, &mut scalar);
         let mut vector = vec![0.0_f64; n];
         // SAFETY: AVX2 presence checked above.
-        let done = unsafe { super::eval_speedups_avx2(&base, &d, &plan, &mut vector) };
-        eval_speedups_scalar(&base, &d, &plan, done, &mut vector);
+        let done = unsafe { super::eval_speedups_avx2(&base, &d, comm_uniform, &mut vector) };
+        eval_speedups_scalar(&base, &d, comm_uniform, done, &mut vector);
         for i in 0..n {
             assert_eq!(vector[i].to_bits(), scalar[i].to_bits(), "point {i}");
         }

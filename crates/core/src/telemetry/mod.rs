@@ -118,31 +118,6 @@ pub enum Metric {
     CacheMisses,
     /// Times a simulator-cache shard lock was contended (bridged at drain).
     ShardContention,
-    /// Analytic-stage cache hits, summed over every stage
-    /// (`solve::stages`).
-    StageHits,
-    /// Analytic-stage cache misses, summed over every stage.
-    StageMisses,
-    /// Communication-stage (Eqs. 1–3) cache hits.
-    StageCommHits,
-    /// Communication-stage cache misses.
-    StageCommMisses,
-    /// Computation-stage (Eq. 4) cache hits.
-    StageCompHits,
-    /// Computation-stage cache misses.
-    StageCompMisses,
-    /// Overlap/buffering-stage (Eqs. 5–6, 8–11) cache hits.
-    StageOverlapHits,
-    /// Overlap/buffering-stage cache misses.
-    StageOverlapMisses,
-    /// Speedup/ceiling-stage (Eq. 7) cache hits.
-    StageSpeedupHits,
-    /// Speedup/ceiling-stage cache misses.
-    StageSpeedupMisses,
-    /// Resource-test-stage (§3.3) cache hits.
-    StageResourceHits,
-    /// Resource-test-stage cache misses.
-    StageResourceMisses,
     /// Guided-search generations run (`optimize`).
     OptimizeGenerations,
     /// Candidate design points evaluated by guided search.
@@ -167,7 +142,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in rendering order.
-    pub const ALL: [Metric; 32] = [
+    pub const ALL: [Metric; 20] = [
         Metric::EngineJobs,
         Metric::EngineBatches,
         Metric::SimRuns,
@@ -180,18 +155,6 @@ impl Metric {
         Metric::CacheHits,
         Metric::CacheMisses,
         Metric::ShardContention,
-        Metric::StageHits,
-        Metric::StageMisses,
-        Metric::StageCommHits,
-        Metric::StageCommMisses,
-        Metric::StageCompHits,
-        Metric::StageCompMisses,
-        Metric::StageOverlapHits,
-        Metric::StageOverlapMisses,
-        Metric::StageSpeedupHits,
-        Metric::StageSpeedupMisses,
-        Metric::StageResourceHits,
-        Metric::StageResourceMisses,
         Metric::OptimizeGenerations,
         Metric::OptimizeEvals,
         Metric::OptimizeFrontSize,
@@ -217,18 +180,6 @@ impl Metric {
             Metric::CacheHits => "cache.hits",
             Metric::CacheMisses => "cache.misses",
             Metric::ShardContention => "cache.shard_contention",
-            Metric::StageHits => "stage.hits",
-            Metric::StageMisses => "stage.misses",
-            Metric::StageCommHits => "stage.comm.hits",
-            Metric::StageCommMisses => "stage.comm.misses",
-            Metric::StageCompHits => "stage.comp.hits",
-            Metric::StageCompMisses => "stage.comp.misses",
-            Metric::StageOverlapHits => "stage.overlap.hits",
-            Metric::StageOverlapMisses => "stage.overlap.misses",
-            Metric::StageSpeedupHits => "stage.speedup.hits",
-            Metric::StageSpeedupMisses => "stage.speedup.misses",
-            Metric::StageResourceHits => "stage.resource.hits",
-            Metric::StageResourceMisses => "stage.resource.misses",
             Metric::OptimizeGenerations => "optimize.generations",
             Metric::OptimizeEvals => "optimize.evals",
             Metric::OptimizeFrontSize => "optimize.front_size",

@@ -9,7 +9,7 @@ use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::quantity::Freq;
 use crate::report::Report;
-use crate::solve::{self, stages};
+use crate::solve;
 use crate::throughput::ThroughputPrediction;
 
 /// A RAT worksheet: wraps an input and produces the full analysis.
@@ -29,65 +29,18 @@ impl Worksheet {
         &self.input
     }
 
-    /// Run the throughput test and assemble the report.
-    ///
-    /// This is the staged path: each sub-model is resolved through the
-    /// memoized stage graph ([`crate::solve::stages`]), so repeated analyses
-    /// that share sub-inputs (a clock sweep, a `rat watch` re-render) only
-    /// recompute the stages whose inputs actually changed. Bit-identical to
-    /// [`Worksheet::analyze_monolithic`] — the differential suite pins it.
+    /// Run the throughput test and assemble the report: the prediction at
+    /// the input's buffering, the alternate-buffering prediction, and the
+    /// communication-bound ceiling. Opens no span, so hot callers (`rat
+    /// serve` runs with the collector on) pay nothing for instrumentation.
     pub fn analyze(&self) -> Result<Report, RatError> {
-        self.input.validate()?;
-        let comm = stages::comm_stage(&self.input);
-        let comp = stages::comp_stage(&self.input);
-        let overlap = stages::overlap_stage(&self.input, comm.t_comm, comp);
-        let sp = stages::speedup_stage(&self.input, &overlap, comm.t_comm);
-        let single = ThroughputPrediction {
-            t_write: comm.t_write,
-            t_read: comm.t_read,
-            t_comm: comm.t_comm,
-            t_comp: comp,
-            t_rc: overlap.t_rc_single,
-            speedup: sp.speedup_single,
-            util_comm: overlap.util_comm_single,
-            util_comp: overlap.util_comp_single,
-            buffering: Buffering::Single,
-        };
-        let double = ThroughputPrediction {
-            t_write: comm.t_write,
-            t_read: comm.t_read,
-            t_comm: comm.t_comm,
-            t_comp: comp,
-            t_rc: overlap.t_rc_double,
-            speedup: sp.speedup_double,
-            util_comm: overlap.util_comm_double,
-            util_comp: overlap.util_comp_double,
-            buffering: Buffering::Double,
-        };
-        let (throughput, alternate) = match self.input.buffering {
-            Buffering::Single => (single, double),
-            Buffering::Double => (double, single),
-        };
-        Ok(Report {
-            speedup: throughput.speedup,
-            throughput,
-            alternate,
-            max_speedup: sp.max_speedup,
-            input: self.input.clone(),
-        })
-    }
-
-    /// The original unmemoized chain, kept as the differential reference:
-    /// recomputes every equation from scratch through
-    /// [`ThroughputPrediction::analyze`] and [`solve::max_speedup`].
-    pub fn analyze_monolithic(&self) -> Result<Report, RatError> {
         let throughput = ThroughputPrediction::analyze(&self.input)?;
         let other_mode = match self.input.buffering {
             Buffering::Single => Buffering::Double,
             Buffering::Double => Buffering::Single,
         };
         let alternate = ThroughputPrediction::analyze(&self.input.with_buffering(other_mode))?;
-        let max_speedup = solve::max_speedup(&self.input)?;
+        let max_speedup = solve::max_speedup_with(&self.input, throughput.t_comm);
         Ok(Report {
             speedup: throughput.speedup,
             throughput,
@@ -136,18 +89,6 @@ mod tests {
                 (got - want).abs() < 0.06,
                 "speedup {got} vs Table 3's {want}"
             );
-        }
-    }
-
-    #[test]
-    fn staged_analyze_matches_monolithic_bit_for_bit() {
-        for buffering in [Buffering::Single, Buffering::Double] {
-            let ws = Worksheet::new(pdf1d_example().with_buffering(buffering));
-            let staged = ws.analyze().unwrap();
-            let mono = ws.analyze_monolithic().unwrap();
-            assert_eq!(staged, mono);
-            // A second run is served from the stage cache — still identical.
-            assert_eq!(ws.analyze().unwrap(), mono);
         }
     }
 

@@ -245,6 +245,14 @@ fn sweep_is_bitwise_stable_across_chunk_seams_and_threads() {
                 "n={n} index {i}"
             );
         }
+        // The full report at every index, on both sides of every seam,
+        // against the scalar worksheet chain.
+        for (i, p) in baseline.points.iter().enumerate() {
+            let scalar = Worksheet::new(SweepParam::Fclock.apply(&input, values[i]))
+                .analyze()
+                .unwrap();
+            assert_eq!(p.report, scalar, "n={n} full report at index {i}");
+        }
         for engine in engines() {
             let swept = sweep_with(&engine, &input, SweepParam::Fclock, &values).unwrap();
             assert_eq!(baseline, swept, "n={n} at {} jobs", engine.config().jobs);

@@ -316,14 +316,9 @@ mod tests {
         assert!(text.contains("cache_hits 7"), "{text}");
         assert!(text.contains("cache_shard_contention 1"), "{text}");
         assert!(text.contains("pipeline_mc_samples 0"), "{text}");
-        // The stage-graph counters are part of the schema even when idle:
-        // dashboards scrape them unconditionally.
-        assert!(text.contains("pipeline_stage_hits 0"), "{text}");
-        assert!(text.contains("pipeline_stage_misses 0"), "{text}");
-        assert!(text.contains("pipeline_stage_comm_hits 0"), "{text}");
-        assert!(text.contains("pipeline_stage_comm_misses 0"), "{text}");
         // The serving-layer counters added with the response cache and the
-        // solve coalescer are likewise always present.
+        // solve coalescer are part of the schema even when idle: dashboards
+        // scrape them unconditionally.
         assert!(text.contains("pipeline_cache_response_hits 0"), "{text}");
         assert!(text.contains("pipeline_cache_response_misses 0"), "{text}");
         assert!(

@@ -1,12 +1,11 @@
 //! Shared helpers for the serve integration suites: a tiny HTTP client,
-//! response splitting, and the path to the compiled `rat` binary.
+//! response splitting, and envelope parsing.
 
 // Each integration-test binary includes this module and uses a subset of it.
 #![allow(dead_code)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::time::Duration;
 
 use rat_core::telemetry::json::{self, Json};
@@ -123,14 +122,4 @@ pub fn metric_value(metrics_body: &str, name: &str) -> Option<u64> {
         l.strip_prefix(name)
             .and_then(|rest| rest.trim().parse().ok())
     })
-}
-
-/// The compiled `rat` binary, relative to this test binary
-/// (`target/<profile>/deps/...`).
-pub fn rat_binary() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test binary path");
-    p.pop(); // deps/
-    p.pop(); // <profile>/
-    p.push(format!("rat{}", std::env::consts::EXE_SUFFIX));
-    p
 }

@@ -4,16 +4,15 @@
 //! For every analysis mode, the JSON body a **warm** server returns must be
 //! byte-identical to what the **cold** path computes for the same inputs:
 //! the in-process scalar pipeline (the same `rat_serve::api` renderers the
-//! CLI calls) and the spawned `rat` binary itself. Parity is asserted at
-//! 1, 2, and 8 server workers, on cache-cold and cache-warm requests, and
-//! for the seeded Monte-Carlo path (same seed → same quantiles through the
-//! server).
+//! CLI calls). Parity is asserted at 1, 2, and 8 server workers, on
+//! cache-cold and cache-warm requests, and for the seeded Monte-Carlo path
+//! (same seed → same quantiles through the server). The comparison against
+//! the spawned `rat` binary lives with the binary, in
+//! `crates/cli/tests/serve_parity.rs`.
 
 mod common;
 
-use std::process::Command;
-
-use common::{get, metric_value, post, rat_binary, report_of};
+use common::{get, metric_value, post, report_of};
 use proptest::prelude::*;
 use rat_core::engine::{Engine, EngineConfig};
 use rat_core::params::{
@@ -155,123 +154,30 @@ fn six_modes_byte_identical_at_1_2_8_workers_cold_and_warm() {
     }
 }
 
+/// An alpha at its bound of 1.0 is a legal worksheet: sensitivity answers
+/// 200 (the alpha's up-probe falls back to a backward difference) with the
+/// same report the in-process renderer produces.
 #[test]
-fn server_reports_match_cold_cli_stdout_for_every_mode() {
-    // Spawn the real binary per mode and compare its stdout to the warm
-    // server's report — the end-to-end version of the shared-renderer
-    // argument. The CLI prints `{report}\n`, so stdout = report + newline.
-    let input = pdf1d();
-    let dir = std::env::temp_dir().join(format!("rat-serve-parity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let ws_path = dir.join("ws.toml");
-    std::fs::write(&ws_path, ws_toml(&input)).unwrap();
-    let ws = ws_path.to_string_lossy().into_owned();
-
-    let cli = |args: &[&str]| -> String {
-        let out = Command::new(rat_binary())
-            .args(args)
-            .output()
-            .expect("spawning the rat binary (build it with `cargo build -p rat-cli`)");
-        assert!(
-            out.status.success(),
-            "rat {args:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).expect("utf8 stdout")
-    };
-
+fn sensitivity_answers_200_with_an_alpha_at_its_bound() {
     let handle = start(2);
     let addr = handle.addr();
-    let serve = |path: &str, body: &str| -> String {
-        let (status, resp) = post(addr, path, body);
-        assert_eq!(status, 200, "{path}: {resp}");
-        report_of(&resp)
-    };
-    let ws_json = escape_json(&ws_toml(&input));
-
-    let pairs = [
-        (
-            cli(&["solve", &ws, "8"]),
-            serve(
-                "/v1/solve",
-                &format!("{{\"worksheet_toml\": \"{ws_json}\", \"target\": 8.0}}"),
-            ),
-        ),
-        (
-            cli(&["solve", "--strict", &ws, "4"]),
-            serve(
-                "/v1/solve",
-                &format!(
-                    "{{\"worksheet_toml\": \"{ws_json}\", \"target\": 4.0, \"strict\": true}}"
-                ),
-            ),
-        ),
-        (
-            cli(&["sweep", &ws, "fclock", "75e6", "100e6", "150e6"]),
-            serve(
-                "/v1/sweep",
-                &format!(
-                    "{{\"worksheet_toml\": \"{ws_json}\", \"param\": \"fclock\", \
-                     \"values\": [75e6, 100e6, 150e6]}}"
-                ),
-            ),
-        ),
-        (
-            cli(&["uncertainty", &ws, "fclock", "75e6", "150e6"]),
-            serve(
-                "/v1/uncertainty",
-                &format!(
-                    "{{\"worksheet_toml\": \"{ws_json}\", \
-                     \"ranges\": [{{\"param\": \"fclock\", \"lo\": 75e6, \"hi\": 150e6}}]}}"
-                ),
-            ),
-        ),
-        (
-            cli(&["explore", &ws, "5", "--fclocks", "100e6,150e6"]),
-            serve(
-                "/v1/explore",
-                &format!(
-                    "{{\"worksheet_toml\": \"{ws_json}\", \"min_speedup\": 5.0, \
-                     \"fclocks\": [100e6, 150e6]}}"
-                ),
-            ),
-        ),
-        (
-            cli(&["sensitivity", &ws]),
-            serve(
-                "/v1/sensitivity",
-                &format!("{{\"worksheet_toml\": \"{ws_json}\"}}"),
-            ),
-        ),
-        (
-            cli(&[
-                "optimize",
-                &ws,
-                "--seed",
-                "7",
-                "--generations",
-                "4",
-                "--population",
-                "48",
-            ]),
-            serve(
-                "/v1/optimize",
-                &format!(
-                    "{{\"worksheet_toml\": \"{ws_json}\", \"seed\": 7, \
-                     \"generations\": 4, \"population\": 48}}"
-                ),
-            ),
-        ),
-    ];
-    handle.shutdown();
-    for (i, (cli_stdout, server_report)) in pairs.iter().enumerate() {
-        assert_eq!(
-            *cli_stdout,
-            format!("{server_report}\n"),
-            "CLI stdout vs server report diverged for pair {i}"
+    for which in ["alpha_write", "alpha_read"] {
+        let mut input = pdf1d();
+        match which {
+            "alpha_write" => input.comm.alpha_write = 1.0,
+            _ => input.comm.alpha_read = 1.0,
+        }
+        let body = format!(
+            "{{\"worksheet_toml\": \"{}\"}}",
+            escape_json(&ws_toml(&input))
         );
+        let (status, resp) = post(addr, "/v1/sensitivity", &body);
+        assert_eq!(status, 200, "{which} = 1.0: {resp}");
+        let reference =
+            api::sensitivity_report(&reference_engine(), &input).expect("sensitivity reference");
+        assert_eq!(report_of(&resp), reference, "{which} = 1.0");
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    handle.shutdown();
 }
 
 #[test]
