@@ -9,7 +9,7 @@
 
 use crate::md::cell_list::CellList;
 use crate::md::system::{min_image_vec, System, Vec3};
-use rayon::prelude::*;
+use rat_core::engine::Engine;
 
 /// Lennard-Jones parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,14 +53,16 @@ pub fn compute_forces(system: &System, params: &LjParams) -> (Vec<Vec3>, f64) {
 }
 
 /// Force on each particle plus total potential energy, parallel over
-/// particles.
-pub fn compute_forces_parallel(system: &System, params: &LjParams) -> (Vec<Vec3>, f64) {
+/// particles on `engine`'s pool; bit-identical to [`compute_forces`].
+pub fn compute_forces_parallel(
+    engine: &Engine,
+    system: &System,
+    params: &LjParams,
+) -> (Vec<Vec3>, f64) {
     let list = CellList::build(&system.positions, system.box_len, params.cutoff);
-    let results: Vec<(Vec3, f64)> = (0..system.len())
-        .into_par_iter()
-        .map(|i| particle_force(system, params, &list, i))
-        .collect();
-    collect_forces(results)
+    collect_forces(crate::par_map(engine, system.len(), |i| {
+        particle_force(system, params, &list, i)
+    }))
 }
 
 fn collect_forces(results: Vec<(Vec3, f64)>) -> (Vec<Vec3>, f64) {
@@ -152,10 +154,15 @@ mod tests {
     fn parallel_matches_sequential() {
         let (s, p) = small_system();
         let (fs, us) = compute_forces(&s, &p);
-        let (fp, up) = compute_forces_parallel(&s, &p);
-        assert!((us - up).abs() < 1e-12 * us.abs().max(1.0));
-        for (a, b) in fs.iter().zip(&fp) {
-            assert!(((*a - *b).norm2()).sqrt() < 1e-12);
+        let bits = |f: &Vec3| [f.x, f.y, f.z].map(f64::to_bits);
+        for (jobs, engine) in crate::test_engines() {
+            let (fp, up) = compute_forces_parallel(&engine, &s, &p);
+            assert_eq!(up.to_bits(), us.to_bits(), "potential at {jobs} jobs");
+            assert_eq!(
+                fp.iter().map(bits).collect::<Vec<_>>(),
+                fs.iter().map(bits).collect::<Vec<_>>(),
+                "forces at {jobs} jobs"
+            );
         }
     }
 

@@ -2,10 +2,12 @@
 
 use crate::md::forces::{compute_forces_parallel, LjParams};
 use crate::md::system::System;
+use rat_core::engine::Engine;
 
 /// Advance `system` one velocity-Verlet step of size `dt` under `params`
-/// (unit particle mass). Returns the potential energy after the step.
-pub fn step(system: &mut System, params: &LjParams, dt: f64) -> f64 {
+/// (unit particle mass), computing forces on `engine`'s pool. Returns the
+/// potential energy after the step.
+pub fn step(engine: &Engine, system: &mut System, params: &LjParams, dt: f64) -> f64 {
     assert!(dt > 0.0, "time step must be positive");
     let n = system.len();
     // Half-kick + drift using current accelerations.
@@ -16,7 +18,7 @@ pub fn step(system: &mut System, params: &LjParams, dt: f64) -> f64 {
     }
     system.wrap_positions();
     // New forces, second half-kick.
-    let (forces, potential) = compute_forces_parallel(system, params);
+    let (forces, potential) = compute_forces_parallel(engine, system, params);
     system.accelerations.copy_from_slice(&forces); // unit mass: a = F
     for (v, f) in system.velocities.iter_mut().zip(&forces) {
         *v += *f * (0.5 * dt);
@@ -30,10 +32,16 @@ pub fn kinetic_energy(system: &System) -> f64 {
 }
 
 /// Run `steps` integration steps, returning `(kinetic, potential)` per step.
-pub fn run(system: &mut System, params: &LjParams, dt: f64, steps: usize) -> Vec<(f64, f64)> {
+pub fn run(
+    engine: &Engine,
+    system: &mut System,
+    params: &LjParams,
+    dt: f64,
+    steps: usize,
+) -> Vec<(f64, f64)> {
     (0..steps)
         .map(|_| {
-            let potential = step(system, params, dt);
+            let potential = step(engine, system, params, dt);
             (kinetic_energy(system), potential)
         })
         .collect()
@@ -65,7 +73,7 @@ mod tests {
     fn energy_approximately_conserved() {
         let (mut s, p) = quiet_system();
         let dt = 5e-4;
-        let trace = run(&mut s, &p, dt, 50);
+        let trace = run(&Engine::sequential(), &mut s, &p, dt, 50);
         let e0 = trace.first().map(|(k, u)| k + u).unwrap();
         let e_end = trace.last().map(|(k, u)| k + u).unwrap();
         let drift = (e_end - e0).abs() / e0.abs().max(1e-12);
@@ -75,7 +83,7 @@ mod tests {
     #[test]
     fn positions_stay_in_box() {
         let (mut s, p) = quiet_system();
-        run(&mut s, &p, 1e-3, 20);
+        run(&Engine::sequential(), &mut s, &p, 1e-3, 20);
         for q in &s.positions {
             assert!((0.0..1.0).contains(&q.x));
             assert!((0.0..1.0).contains(&q.y));
@@ -87,7 +95,7 @@ mod tests {
     fn momentum_is_conserved() {
         let (mut s, p) = quiet_system();
         let mom0 = s.velocities.iter().fold(Vec3::ZERO, |a, &v| a + v);
-        run(&mut s, &p, 1e-3, 20);
+        run(&Engine::sequential(), &mut s, &p, 1e-3, 20);
         let mom1 = s.velocities.iter().fold(Vec3::ZERO, |a, &v| a + v);
         assert!(((mom1 - mom0).norm2()).sqrt() < 1e-9);
     }
@@ -105,6 +113,6 @@ mod tests {
     #[should_panic(expected = "time step")]
     fn zero_dt_panics() {
         let (mut s, p) = quiet_system();
-        step(&mut s, &p, 0.0);
+        step(&Engine::sequential(), &mut s, &p, 0.0);
     }
 }

@@ -1,12 +1,13 @@
 //! Reference Parzen-window estimators in `f64`.
 //!
 //! These are the software baselines: the algorithm the paper's C code runs on
-//! a 3.2 GHz Xeon. Sequential and rayon-parallel variants are provided; the
+//! a 3.2 GHz Xeon. Sequential variants and variants parallel on the `Engine`
+//! pool are provided; the
 //! parallel ones exist because a credible modern baseline is multicore, and
 //! they let the benchmark harness report how the FPGA-era speedup claims fare
 //! against 2026 CPUs.
 
-use rayon::prelude::*;
+use rat_core::engine::Engine;
 
 /// 1-D Gaussian kernel value for squared distance `d2` and bandwidth `h`.
 #[inline]
@@ -22,35 +23,43 @@ pub fn gaussian_kernel_2d(d2: f64, h: f64) -> f64 {
     (-d2 / (2.0 * h * h)).exp() / (std::f64::consts::TAU * h * h)
 }
 
+/// Density at bin `b` from `samples`: the 1-D kernel sum, scaled by `norm`.
+fn density_1d(samples: &[f64], b: f64, h: f64, norm: f64) -> f64 {
+    samples
+        .iter()
+        .map(|&x| gaussian_kernel((b - x) * (b - x), h))
+        .sum::<f64>()
+        * norm
+}
+
+/// Density at grid point `(bx, by)` from `samples`, scaled by `norm`.
+fn density_2d(samples: &[(f64, f64)], bx: f64, by: f64, h: f64, norm: f64) -> f64 {
+    let mut acc = 0.0;
+    for &(x, y) in samples {
+        let d2 = (bx - x) * (bx - x) + (by - y) * (by - y);
+        acc += gaussian_kernel_2d(d2, h);
+    }
+    acc * norm
+}
+
 /// 1-D Parzen-window estimate: density at each of `bins` evaluation points
 /// from `samples`, bandwidth `h`. Sequential.
 pub fn estimate_1d(samples: &[f64], bins: &[f64], h: f64) -> Vec<f64> {
     assert!(h > 0.0, "bandwidth must be positive");
     let norm = 1.0 / samples.len().max(1) as f64;
     bins.iter()
-        .map(|&b| {
-            samples
-                .iter()
-                .map(|&x| gaussian_kernel((b - x) * (b - x), h))
-                .sum::<f64>()
-                * norm
-        })
+        .map(|&b| density_1d(samples, b, h, norm))
         .collect()
 }
 
-/// 1-D Parzen-window estimate, parallel over bins.
-pub fn estimate_1d_parallel(samples: &[f64], bins: &[f64], h: f64) -> Vec<f64> {
+/// 1-D Parzen-window estimate, parallel over bins on `engine`'s pool;
+/// bit-identical to [`estimate_1d`].
+pub fn estimate_1d_parallel(engine: &Engine, samples: &[f64], bins: &[f64], h: f64) -> Vec<f64> {
     assert!(h > 0.0, "bandwidth must be positive");
     let norm = 1.0 / samples.len().max(1) as f64;
-    bins.par_iter()
-        .map(|&b| {
-            samples
-                .iter()
-                .map(|&x| gaussian_kernel((b - x) * (b - x), h))
-                .sum::<f64>()
-                * norm
-        })
-        .collect()
+    crate::par_map(engine, bins.len(), |i| {
+        density_1d(samples, bins[i], h, norm)
+    })
 }
 
 /// 2-D Parzen-window estimate on the `bins_x` x `bins_y` grid (row-major,
@@ -61,19 +70,16 @@ pub fn estimate_2d(samples: &[(f64, f64)], bins_x: &[f64], bins_y: &[f64], h: f6
     let mut out = Vec::with_capacity(bins_x.len() * bins_y.len());
     for &bx in bins_x {
         for &by in bins_y {
-            let mut acc = 0.0;
-            for &(x, y) in samples {
-                let d2 = (bx - x) * (bx - x) + (by - y) * (by - y);
-                acc += gaussian_kernel_2d(d2, h);
-            }
-            out.push(acc * norm);
+            out.push(density_2d(samples, bx, by, h, norm));
         }
     }
     out
 }
 
-/// 2-D Parzen-window estimate, parallel over grid rows.
+/// 2-D Parzen-window estimate, parallel over grid points on `engine`'s
+/// pool; bit-identical to [`estimate_2d`].
 pub fn estimate_2d_parallel(
+    engine: &Engine,
     samples: &[(f64, f64)],
     bins_x: &[f64],
     bins_y: &[f64],
@@ -81,18 +87,10 @@ pub fn estimate_2d_parallel(
 ) -> Vec<f64> {
     assert!(h > 0.0, "bandwidth must be positive");
     let norm = 1.0 / samples.len().max(1) as f64;
-    bins_x
-        .par_iter()
-        .flat_map_iter(|&bx| bins_y.iter().map(move |&by| (bx, by)))
-        .map(|(bx, by)| {
-            let mut acc = 0.0;
-            for &(x, y) in samples {
-                let d2 = (bx - x) * (bx - x) + (by - y) * (by - y);
-                acc += gaussian_kernel_2d(d2, h);
-            }
-            acc * norm
-        })
-        .collect()
+    let ny = bins_y.len();
+    crate::par_map(engine, bins_x.len() * ny, |i| {
+        density_2d(samples, bins_x[i / ny], bins_y[i % ny], h, norm)
+    })
 }
 
 /// Streaming accumulator matching the hardware's iteration structure: bins'
@@ -172,14 +170,18 @@ mod tests {
         assert!(at(0.45) > at(0.0), "right mode should beat the trough");
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn parallel_matches_sequential_1d() {
         let samples = bimodal_samples(1000, 23);
         let bins = bin_centers();
         let seq = estimate_1d(&samples, &bins, BANDWIDTH);
-        let par = estimate_1d_parallel(&samples, &bins, BANDWIDTH);
-        for (s, p) in seq.iter().zip(&par) {
-            assert!((s - p).abs() < 1e-12);
+        for (jobs, engine) in crate::test_engines() {
+            let par = estimate_1d_parallel(&engine, &samples, &bins, BANDWIDTH);
+            assert_eq!(bits(&par), bits(&seq), "at {jobs} jobs");
         }
     }
 
@@ -189,10 +191,10 @@ mod tests {
         let bx: Vec<f64> = (0..16).map(|i| i as f64 / 8.0 - 1.0).collect();
         let by = bx.clone();
         let seq = estimate_2d(&samples, &bx, &by, BANDWIDTH);
-        let par = estimate_2d_parallel(&samples, &bx, &by, BANDWIDTH);
         assert_eq!(seq.len(), 256);
-        for (s, p) in seq.iter().zip(&par) {
-            assert!((s - p).abs() < 1e-12);
+        for (jobs, engine) in crate::test_engines() {
+            let par = estimate_2d_parallel(&engine, &samples, &bx, &by, BANDWIDTH);
+            assert_eq!(bits(&par), bits(&seq), "at {jobs} jobs");
         }
     }
 

@@ -1,10 +1,11 @@
 //! Software sorting baselines.
 //!
 //! A hand-rolled bottom-up merge sort (the classic software counterpart of a
-//! merging network) plus a rayon-parallel variant, with `slice::sort_unstable`
-//! available as the "tuned library" reference the benchmarks compare against.
+//! merging network) plus a variant parallel on the `Engine` pool, with
+//! `slice::sort_unstable` available as the "tuned library" reference the
+//! benchmarks compare against.
 
-use rayon::prelude::*;
+use rat_core::engine::Engine;
 
 /// Bottom-up (iterative) merge sort; stable, O(n log n), no recursion.
 pub fn merge_sort(data: &mut [u32]) {
@@ -51,10 +52,36 @@ fn merge_runs(a: &[u32], b: &[u32], out: &mut [u32]) {
     }
 }
 
-/// Parallel merge sort: rayon-sorted halves merged on one thread. Good enough
-/// as a multicore baseline without reimplementing parallel merge.
-pub fn merge_sort_parallel(data: &mut [u32]) {
-    data.par_sort_unstable();
+/// Parallel merge sort: one contiguous run per thread, each merge-sorted as
+/// a job on `engine`'s pool, then merged pairwise with `merge_runs` on the
+/// calling thread. Good enough as a multicore baseline without
+/// reimplementing parallel merge.
+pub fn merge_sort_parallel(engine: &Engine, data: &mut [u32]) {
+    let n = data.len();
+    let len = n.div_ceil(engine.threads()).max(1);
+    let src: &[u32] = data;
+    let mut runs = engine.run(n.div_ceil(len), |r| {
+        let mut run = src[r * len..n.min((r + 1) * len)].to_vec();
+        merge_sort(&mut run);
+        run
+    });
+    while runs.len() > 1 {
+        let mut unpaired = runs.into_iter();
+        runs = Vec::new();
+        while let Some(a) = unpaired.next() {
+            runs.push(match unpaired.next() {
+                Some(b) => {
+                    let mut out = vec![0; a.len() + b.len()];
+                    merge_runs(&a, &b, &mut out);
+                    out
+                }
+                None => a,
+            });
+        }
+    }
+    if let Some(sorted) = runs.pop() {
+        data.copy_from_slice(&sorted);
+    }
 }
 
 /// Sort each `block`-sized chunk independently — the exact work the bitonic
@@ -111,11 +138,15 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let mut a = random_keys(10_000, 7);
-        let mut b = a.clone();
-        merge_sort(&mut a);
-        merge_sort_parallel(&mut b);
-        assert_eq!(a, b);
+        for (jobs, engine) in crate::test_engines() {
+            for n in [0usize, 1, 2, 3, 5_000, 10_000] {
+                let mut a = random_keys(n, 7 + n as u64);
+                let mut b = a.clone();
+                merge_sort(&mut a);
+                merge_sort_parallel(&engine, &mut b);
+                assert_eq!(a, b, "n = {n} at {jobs} jobs");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's `t_soft` figures came from C on a 3.2 GHz Xeon (PDF) and a
 //! 2.2 GHz Opteron (MD). These benches time this workspace's Rust baselines —
-//! sequential and rayon-parallel — so a user can recompute RAT speedups
+//! sequential and parallel on one `Engine` pool — so a user can recompute RAT speedups
 //! against their own machine instead of 2007 hardware.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -13,9 +13,11 @@ use rat_apps::md::forces::{compute_forces, compute_forces_parallel, LjParams};
 use rat_apps::md::system::System;
 use rat_apps::pdf::parzen;
 use rat_apps::pdf::{bin_centers, BANDWIDTH};
+use rat_core::engine::{Engine, EngineConfig};
 
 fn bench_pdf1d(c: &mut Criterion) {
     let bins = bin_centers();
+    let engine = Engine::new(EngineConfig::default());
     let mut g = c.benchmark_group("baseline-pdf1d");
     for &n in &[512usize, 4096, 16384] {
         let samples = datagen::bimodal_samples(n, 1000 + n as u64);
@@ -24,7 +26,7 @@ fn bench_pdf1d(c: &mut Criterion) {
             b.iter(|| black_box(parzen::estimate_1d(s, &bins, BANDWIDTH)))
         });
         g.bench_with_input(BenchmarkId::new("parallel", n), &samples, |b, s| {
-            b.iter(|| black_box(parzen::estimate_1d_parallel(s, &bins, BANDWIDTH)))
+            b.iter(|| black_box(parzen::estimate_1d_parallel(&engine, s, &bins, BANDWIDTH)))
         });
     }
     g.finish();
@@ -47,6 +49,7 @@ fn bench_pdf1d_fullscale_block(c: &mut Criterion) {
 
 fn bench_pdf2d(c: &mut Criterion) {
     let bins: Vec<f64> = (0..64).map(|i| i as f64 / 32.0 - 1.0).collect();
+    let engine = Engine::new(EngineConfig::default());
     let mut g = c.benchmark_group("baseline-pdf2d");
     g.sample_size(20);
     for &n in &[128usize, 1024] {
@@ -56,13 +59,18 @@ fn bench_pdf2d(c: &mut Criterion) {
             b.iter(|| black_box(parzen::estimate_2d(s, &bins, &bins, BANDWIDTH)))
         });
         g.bench_with_input(BenchmarkId::new("parallel", n), &samples, |b, s| {
-            b.iter(|| black_box(parzen::estimate_2d_parallel(s, &bins, &bins, BANDWIDTH)))
+            b.iter(|| {
+                black_box(parzen::estimate_2d_parallel(
+                    &engine, s, &bins, &bins, BANDWIDTH,
+                ))
+            })
         });
     }
     g.finish();
 }
 
 fn bench_md(c: &mut Criterion) {
+    let engine = Engine::new(EngineConfig::default());
     let mut g = c.benchmark_group("baseline-md-forces");
     g.sample_size(10);
     for &n in &[1024usize, 4096] {
@@ -77,7 +85,7 @@ fn bench_md(c: &mut Criterion) {
             b.iter(|| black_box(compute_forces(s, &params)))
         });
         g.bench_with_input(BenchmarkId::new("parallel", n), &system, |b, s| {
-            b.iter(|| black_box(compute_forces_parallel(s, &params)))
+            b.iter(|| black_box(compute_forces_parallel(&engine, s, &params)))
         });
     }
     g.finish();
@@ -108,6 +116,7 @@ fn bench_sort(c: &mut Criterion) {
     use rat_apps::sort::baseline::{merge_sort, merge_sort_parallel, sort_blocks};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
     let keys: Vec<u32> = (0..262_144).map(|_| rng.gen()).collect();
+    let engine = Engine::new(EngineConfig::default());
     let mut g = c.benchmark_group("baseline-sort");
     g.throughput(Throughput::Elements(keys.len() as u64));
     g.bench_function("merge_sort", |b| {
@@ -120,7 +129,7 @@ fn bench_sort(c: &mut Criterion) {
     g.bench_function("merge_sort_parallel", |b| {
         b.iter(|| {
             let mut v = keys.clone();
-            merge_sort_parallel(&mut v);
+            merge_sort_parallel(&engine, &mut v);
             black_box(v)
         })
     });

@@ -53,18 +53,9 @@ fn iter_budget(input: &RatInput, target_speedup: f64) -> Result<Seconds, RatErro
     Ok(input.software.t_soft / target_speedup / input.software.iterations as f64)
 }
 
-/// The computation-time budget left after communication, under the input's
-/// buffering discipline.
-///
-/// `comm` is the per-iteration communication time; the caller supplies it so
-/// a batched solve can hoist the one `t_comm` evaluation shared by every
-/// target. The arithmetic is pure, so passing a precomputed value is
-/// bit-identical to recomputing it inline.
-fn comp_budget_with(
-    input: &RatInput,
-    target_speedup: f64,
-    comm: Seconds,
-) -> Result<Seconds, RatError> {
+/// The computation-time budget left after communication (`comm` per
+/// iteration), under the input's buffering discipline.
+fn comp_budget(input: &RatInput, target_speedup: f64, comm: Seconds) -> Result<Seconds, RatError> {
     let budget = iter_budget(input, target_speedup)?;
     let available = match input.buffering {
         // Serial: computation gets what communication leaves over.
@@ -90,34 +81,14 @@ fn comp_budget_with(
     Ok(available)
 }
 
-fn required_throughput_proc_with(
-    input: &RatInput,
-    target_speedup: f64,
-    comm: Seconds,
-) -> Result<f64, RatError> {
-    let budget = comp_budget_with(input, target_speedup, comm)?;
-    let total_ops = input.dataset.elements_in as f64 * input.comp.ops_per_element;
-    Ok(total_ops / (input.comp.fclock * budget))
-}
-
-fn required_fclock_with(
-    input: &RatInput,
-    target_speedup: f64,
-    comm: Seconds,
-) -> Result<Freq, RatError> {
-    let budget = comp_budget_with(input, target_speedup, comm)?;
-    let total_ops = input.dataset.elements_in as f64 * input.comp.ops_per_element;
-    Ok(Freq::from_hz(
-        total_ops / (input.comp.throughput_proc * budget.seconds()),
-    ))
-}
-
 /// Solve for the `throughput_proc` (ops/cycle) required to reach
 /// `target_speedup`, holding everything else fixed.
 pub fn required_throughput_proc(input: &RatInput, target_speedup: f64) -> Result<f64, RatError> {
     let _span = crate::telemetry::span("solve.throughput_proc");
     input.validate()?;
-    required_throughput_proc_with(input, target_speedup, throughput::t_comm(input))
+    let budget = comp_budget(input, target_speedup, throughput::t_comm(input))?;
+    let total_ops = input.dataset.elements_in as f64 * input.comp.ops_per_element;
+    Ok(total_ops / (input.comp.fclock * budget))
 }
 
 /// Solve for the clock frequency required to reach `target_speedup`, holding
@@ -125,7 +96,11 @@ pub fn required_throughput_proc(input: &RatInput, target_speedup: f64) -> Result
 pub fn required_fclock(input: &RatInput, target_speedup: f64) -> Result<Freq, RatError> {
     let _span = crate::telemetry::span("solve.fclock");
     input.validate()?;
-    required_fclock_with(input, target_speedup, throughput::t_comm(input))
+    let budget = comp_budget(input, target_speedup, throughput::t_comm(input))?;
+    let total_ops = input.dataset.elements_in as f64 * input.comp.ops_per_element;
+    Ok(Freq::from_hz(
+        total_ops / (input.comp.throughput_proc * budget.seconds()),
+    ))
 }
 
 /// Solve for the common factor by which *both* alphas must improve to reach
@@ -137,20 +112,8 @@ pub fn required_fclock(input: &RatInput, target_speedup: f64) -> Result<Freq, Ra
 pub fn required_alpha_scale(input: &RatInput, target_speedup: f64) -> Result<f64, RatError> {
     let _span = crate::telemetry::span("solve.alpha");
     input.validate()?;
-    required_alpha_scale_with(
-        input,
-        target_speedup,
-        throughput::t_comm(input),
-        throughput::t_comp(input),
-    )
-}
-
-fn required_alpha_scale_with(
-    input: &RatInput,
-    target_speedup: f64,
-    comm: Seconds,
-    comp: Seconds,
-) -> Result<f64, RatError> {
+    let comm = throughput::t_comm(input);
+    let comp = throughput::t_comp(input);
     let budget = iter_budget(input, target_speedup)?;
     let comm_budget = match input.buffering {
         Buffering::Single => budget - comp,
@@ -230,8 +193,7 @@ pub struct InverseQuad {
 }
 
 /// Evaluate all four inverse solves for one `(input, target)` pair by the
-/// scalar public solvers. This is the reference path; [`inverse_quad_batch`]
-/// must agree with it bit-for-bit on values and verbatim on error text.
+/// scalar public solvers.
 pub fn inverse_quad(input: &RatInput, target_speedup: f64) -> InverseQuad {
     InverseQuad {
         throughput_proc: required_throughput_proc(input, target_speedup),
@@ -241,34 +203,6 @@ pub fn inverse_quad(input: &RatInput, target_speedup: f64) -> InverseQuad {
             .validate()
             .map(|()| max_speedup_with(input, throughput::t_comm(input))),
     }
-}
-
-/// Evaluate the inverse quad for many targets against one worksheet,
-/// hoisting the work every target shares: one `validate()`, one `t_comm`,
-/// one `t_comp`, one ceiling. The per-target arithmetic is the
-/// same pure expressions the scalar solvers run, with identical operand
-/// order, so each element is bit-identical to `inverse_quad` on the same
-/// pair — the contract the serving layer's request coalescer relies on.
-pub fn inverse_quad_batch(input: &RatInput, targets: &[f64]) -> Vec<InverseQuad> {
-    let _span = crate::telemetry::span("solve.quad_batch");
-    crate::telemetry::add(crate::telemetry::Metric::BatchPoints, targets.len() as u64);
-    if input.validate().is_err() {
-        // Validation failure dominates every sub-solve; fall back to the
-        // scalar path per target so error text stays verbatim.
-        return targets.iter().map(|t| inverse_quad(input, *t)).collect();
-    }
-    let comm = throughput::t_comm(input);
-    let comp = throughput::t_comp(input);
-    let ceiling = max_speedup_with(input, comm);
-    targets
-        .iter()
-        .map(|&t| InverseQuad {
-            throughput_proc: required_throughput_proc_with(input, t, comm),
-            fclock: required_fclock_with(input, t, comm),
-            alpha_scale: required_alpha_scale_with(input, t, comm, comp),
-            ceiling: Ok(ceiling),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -422,59 +356,6 @@ mod tests {
         let mut bad = input;
         bad.comm.alpha_write = 1.5;
         assert!(speedup_only(&bad).is_err());
-    }
-
-    /// Assert a batched quad equals the scalar quad bit-for-bit on values
-    /// and verbatim on error display text.
-    fn assert_quads_identical(scalar: &InverseQuad, batched: &InverseQuad, ctx: &str) {
-        match (&scalar.throughput_proc, &batched.throughput_proc) {
-            (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "throughput_proc bits {ctx}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "throughput_proc {ctx}"),
-            (a, b) => panic!("throughput_proc verdicts diverge {ctx}: {a:?} vs {b:?}"),
-        }
-        match (&scalar.fclock, &batched.fclock) {
-            (Ok(a), Ok(b)) => assert_eq!(a.hz().to_bits(), b.hz().to_bits(), "fclock bits {ctx}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "fclock {ctx}"),
-            (a, b) => panic!("fclock verdicts diverge {ctx}: {a:?} vs {b:?}"),
-        }
-        match (&scalar.alpha_scale, &batched.alpha_scale) {
-            (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "alpha bits {ctx}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "alpha {ctx}"),
-            (a, b) => panic!("alpha verdicts diverge {ctx}: {a:?} vs {b:?}"),
-        }
-        match (&scalar.ceiling, &batched.ceiling) {
-            (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "ceiling bits {ctx}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "ceiling {ctx}"),
-            (a, b) => panic!("ceiling verdicts diverge {ctx}: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn quad_batch_matches_scalar_quads_bit_for_bit() {
-        // Feasible, comm-bound-infeasible, nonpositive, and NaN targets in
-        // one batch: every element must match its solo evaluation exactly.
-        for input in [pdf1d_example(), md_input()] {
-            let targets = [1.0, 8.0, 10.7, 300.0, 1e9, 0.0, -2.0, f64::NAN, 0.5];
-            let batched = inverse_quad_batch(&input, &targets);
-            assert_eq!(batched.len(), targets.len());
-            for (t, b) in targets.iter().zip(&batched) {
-                let solo = inverse_quad(&input, *t);
-                assert_quads_identical(&solo, b, &format!("('{}', {t})", input.name));
-            }
-        }
-    }
-
-    #[test]
-    fn quad_batch_invalid_worksheet_falls_back_verbatim() {
-        let mut input = pdf1d_example();
-        input.comm.alpha_write = -0.5; // fails validate()
-        let targets = [2.0, 8.0, f64::NAN];
-        let batched = inverse_quad_batch(&input, &targets);
-        for (t, b) in targets.iter().zip(&batched) {
-            let solo = inverse_quad(&input, *t);
-            assert_quads_identical(&solo, b, &format!("invalid input, target {t}"));
-            assert!(b.throughput_proc.is_err(), "validate error must dominate");
-        }
     }
 
     #[test]

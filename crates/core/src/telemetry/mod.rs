@@ -133,16 +133,11 @@ pub enum Metric {
     /// Requests that blocked on another request's in-flight computation of
     /// the same response instead of recomputing it.
     ResponseCacheInflightWaits,
-    /// Cross-request solve batches evaluated by the coalescer (only groups
-    /// of two or more requests count — solo evaluations are the normal path).
-    CoalesceBatches,
-    /// Requests whose solve was evaluated inside a coalesced batch.
-    CoalesceRequests,
 }
 
 impl Metric {
     /// Every metric, in rendering order.
-    pub const ALL: [Metric; 20] = [
+    pub const ALL: [Metric; 18] = [
         Metric::EngineJobs,
         Metric::EngineBatches,
         Metric::SimRuns,
@@ -161,8 +156,6 @@ impl Metric {
         Metric::ResponseCacheHits,
         Metric::ResponseCacheMisses,
         Metric::ResponseCacheInflightWaits,
-        Metric::CoalesceBatches,
-        Metric::CoalesceRequests,
     ];
 
     /// Stable dotted name used by both exporters.
@@ -186,8 +179,6 @@ impl Metric {
             Metric::ResponseCacheHits => "cache.response.hits",
             Metric::ResponseCacheMisses => "cache.response.misses",
             Metric::ResponseCacheInflightWaits => "cache.response.inflight_waits",
-            Metric::CoalesceBatches => "coalesce.batches",
-            Metric::CoalesceRequests => "coalesce.requests",
         }
     }
 

@@ -125,6 +125,8 @@ pub enum ApiError {
     },
     /// 503: the bounded request queue is full, or the server is draining.
     Busy,
+    /// 500: the request handler panicked; the worker survived it.
+    Panic,
     /// A model-pipeline failure; status from [`http_status`].
     Mode(ModeError),
 }
@@ -147,6 +149,7 @@ impl ApiError {
             ApiError::Timeout => 408,
             ApiError::TooLarge { .. } => 413,
             ApiError::Busy => 503,
+            ApiError::Panic => 500,
             ApiError::Mode(m) => http_status(&m.source),
         }
     }
@@ -164,6 +167,7 @@ impl ApiError {
                 format!("request body exceeds the {limit}-byte limit")
             }
             ApiError::Busy => "server is at capacity or draining; retry later".into(),
+            ApiError::Panic => "internal error: the request handler panicked".into(),
             ApiError::Mode(m) => m.context.clone().unwrap_or_else(|| m.source.to_string()),
         }
     }
@@ -294,10 +298,9 @@ pub fn solve_report(input: &RatInput, target: f64) -> String {
     solve_report_from_quad(input, target, &rat_core::solve::inverse_quad(input, target))
 }
 
-/// Render the non-strict solve report from an already-evaluated quad. The
-/// coalesced server path evaluates quads in cross-request batches and feeds
-/// them here, so solo and batched responses share one renderer — the only
-/// way the byte-identity contract can hold by construction.
+/// Render the non-strict solve report from an already-evaluated quad: the
+/// one solve renderer, shared by the CLI, `rat serve` (both via
+/// [`solve_report`]) and the benchmark crate's layer probes.
 pub fn solve_report_from_quad(
     input: &RatInput,
     target: f64,
@@ -656,6 +659,20 @@ fn optional_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     }
 }
 
+/// The optional `seed` field: a non-negative integer below 2^53, the range
+/// in which every integer is an exact JSON number.
+fn optional_seed(doc: &Json) -> Result<Option<u64>, ApiError> {
+    const LIMIT: f64 = (1u64 << 53) as f64;
+    match optional_f64(doc, "seed")? {
+        None => Ok(None),
+        Some(s) if s.fract() == 0.0 && (0.0..LIMIT).contains(&s) => Ok(Some(s as u64)),
+        Some(s) => Err(ApiError::bad_request(
+            "reading request body",
+            format!("'seed' must be a non-negative integer below 2^53, got {s}"),
+        )),
+    }
+}
+
 fn optional_bool(doc: &Json, key: &str) -> Result<bool, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(false),
@@ -808,16 +825,7 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
                     ))
                 }
             };
-            let seed = match optional_f64(&doc, "seed")? {
-                None => None,
-                Some(s) if s.fract() == 0.0 && (0.0..9.0e15).contains(&s) => Some(s as u64),
-                Some(s) => {
-                    return Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'seed' must be a non-negative integer below 2^53, got {s}"),
-                    ))
-                }
-            };
+            let seed = optional_seed(&doc)?;
             Ok(ApiRequest::Uncertainty {
                 input,
                 ranges,
@@ -850,16 +858,7 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
         }
         "optimize" => {
             let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let seed = match optional_f64(&doc, "seed")? {
-                None => None,
-                Some(s) if s.fract() == 0.0 && (0.0..9.0e15).contains(&s) => Some(s as u64),
-                Some(s) => {
-                    return Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'seed' must be a non-negative integer below 2^53, got {s}"),
-                    ))
-                }
-            };
+            let seed = optional_seed(&doc)?;
             let small_int = |key: &str, max: f64| -> Result<Option<f64>, ApiError> {
                 match optional_f64(&doc, key)? {
                     None => Ok(None),
@@ -1133,6 +1132,35 @@ mod tests {
             parse_mode_request("sweep", &body),
             Err(ApiError::BadRequest { .. })
         ));
+    }
+
+    #[test]
+    fn seeds_are_accepted_exactly_below_2_pow_53() {
+        let ws = escape_json(&ws_toml());
+        let below = (1u64 << 53) - 1;
+        for (mode, extra) in [
+            (
+                "uncertainty",
+                ", \"ranges\": [{\"param\": \"fclock\", \"lo\": 75e6, \"hi\": 150e6}]",
+            ),
+            ("optimize", ""),
+        ] {
+            let body =
+                |seed: u64| format!("{{\"worksheet_toml\": \"{ws}\"{extra}, \"seed\": {seed}}}");
+            let seed = match parse_mode_request(mode, &body(below)) {
+                Ok(ApiRequest::Uncertainty { seed, .. }) => seed,
+                Ok(ApiRequest::Optimize { spec, .. }) => spec.seed,
+                other => panic!("{mode}: 2^53 - 1 rejected: {other:?}"),
+            };
+            assert_eq!(seed, Some(below), "{mode}");
+            assert!(
+                matches!(
+                    parse_mode_request(mode, &body(1u64 << 53)),
+                    Err(ApiError::BadRequest { .. })
+                ),
+                "{mode}: 2^53 accepted"
+            );
+        }
     }
 
     #[test]

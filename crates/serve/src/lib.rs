@@ -28,13 +28,14 @@
 //! * [`respcache`] — the rendered-response cache those keys index, 16-way
 //!   sharded with an LRU byte budget and single-flight dedup: a thundering
 //!   herd of identical requests computes once.
-//! * [`coalesce`] — cross-request solve batching: concurrent `/v1/solve`
-//!   computations drain into one batched evaluation whose per-request
-//!   answers are bit-identical to the solo path.
+//! * [`coalesce`] — a pass-through solve stub kept only because the
+//!   benchmark crate links it; no server code calls it.
 //! * [`server`] — the daemon: an acceptor thread feeding a bounded
 //!   connection queue (backpressure → `503`), N worker threads each owning
 //!   a warm [`rat_core::engine::Engine`] and looping requests on kept-alive
-//!   connections, graceful drain on `POST /shutdown` or SIGINT/SIGTERM
+//!   connections, every `/v1/*` route computing through [`api::handle`]
+//!   with a panicking handler answered `500` instead of killing its worker,
+//!   graceful drain on `POST /shutdown` or SIGINT/SIGTERM
 //!   (in-flight requests complete, the write-behind simulator cache is
 //!   flushed to disk), and a plaintext `GET /metrics` endpoint with
 //!   per-request latency histograms.

@@ -5,8 +5,8 @@
 //! 1. **Close-per-request baseline**: a server with the response cache
 //!    disabled, every request on a fresh connection — the pre-keep-alive
 //!    serving path, preserved as the honest comparison point.
-//! 2. **Keep-alive mixed load**: the full server (response cache +
-//!    coalescing), persistent connections, the same request mix with heavy
+//! 2. **Keep-alive mixed load**: the full server (response cache on),
+//!    persistent connections, the same request mix with heavy
 //!    duplication across clients — the shape a dashboard or sweep driver
 //!    actually produces. The RPS ratio between the two phases is the
 //!    tentpole evidence (`keepalive_vs_close_rps`, gated ≥ 3x).
@@ -395,7 +395,7 @@ pub fn run(rat_binary: &Path, quick: bool) -> std::io::Result<LoadReport> {
         warm_repeat_p50(baseline.addr(), warm_probe.0, &warm_probe.1, warm_n)?;
     baseline.shutdown();
 
-    // Phase 2: the full server — keep-alive, response cache, coalescing.
+    // Phase 2: the full server — keep-alive and the response cache.
     let handle = Server::start(ServeConfig {
         workers: 4,
         ..ServeConfig::default()

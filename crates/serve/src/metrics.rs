@@ -124,6 +124,8 @@ pub struct ServerMetrics {
     pub accepted: AtomicU64,
     /// Connections rejected with 503 because the queue was full.
     pub rejected_busy: AtomicU64,
+    /// Requests whose handler panicked (each answered 500).
+    pub panics: AtomicU64,
     /// Responses by status code, indexed like [`STATUSES`].
     status_counts: [AtomicU64; STATUSES.len()],
     /// Latency histogram over all served requests.
@@ -205,6 +207,10 @@ impl ServerMetrics {
         out.push_str(&format!(
             "serve_rejected_busy_total {}\n",
             self.rejected_busy.load(Ordering::Relaxed)
+        ));
+        out.push_str(&format!(
+            "serve_panics_total {}\n",
+            self.panics.load(Ordering::Relaxed)
         ));
         for (i, s) in STATUSES.iter().enumerate() {
             let n = self.status_counts[i].load(Ordering::Relaxed);
@@ -316,17 +322,15 @@ mod tests {
         assert!(text.contains("cache_hits 7"), "{text}");
         assert!(text.contains("cache_shard_contention 1"), "{text}");
         assert!(text.contains("pipeline_mc_samples 0"), "{text}");
-        // The serving-layer counters added with the response cache and the
-        // solve coalescer are part of the schema even when idle: dashboards
-        // scrape them unconditionally.
+        // The serving-layer counters are part of the schema even when idle:
+        // dashboards scrape them unconditionally.
         assert!(text.contains("pipeline_cache_response_hits 0"), "{text}");
         assert!(text.contains("pipeline_cache_response_misses 0"), "{text}");
         assert!(
             text.contains("pipeline_cache_response_inflight_waits 0"),
             "{text}"
         );
-        assert!(text.contains("pipeline_coalesce_batches 0"), "{text}");
-        assert!(text.contains("pipeline_coalesce_requests 0"), "{text}");
+        assert!(text.contains("serve_panics_total 0"), "{text}");
         assert!(text.contains("response_cache_entries 3"), "{text}");
         assert!(text.contains("response_cache_bytes 1234"), "{text}");
     }

@@ -9,7 +9,7 @@
 //! it fills, the acceptor answers `503` inline instead of letting latency
 //! grow without bound.
 //!
-//! Three serving-path accelerations live here (all with escape hatches):
+//! Two serving-path accelerations live here (both with escape hatches):
 //!
 //! - **Keep-alive**: a worker loops requests on its connection until the
 //!   client closes, asks to close, idles past [`ServeConfig::keepalive_idle`],
@@ -18,9 +18,10 @@
 //!   content-addressed digest with single-flight dedup
 //!   (see [`crate::respcache`]); disable with `response_cache_bytes: 0`
 //!   (the CLI's `--no-response-cache`).
-//! - **Solve coalescing**: concurrent `/v1/solve` computations are drained
-//!   into cross-request batches (see [`crate::coalesce`]) whose per-request
-//!   answers are bit-identical to the solo path.
+//!
+//! Every `/v1/*` route computes through [`api::handle`], the path the CLI
+//! also takes. A handler that panics answers `500` and is counted in
+//! `serve_panics_total`; its worker lives on to serve the next request.
 //!
 //! Shutdown is a drain, not an abort: `POST /shutdown` (or SIGINT/SIGTERM
 //! via [`install_signal_shutdown`]) sets the stop flag and wakes the
@@ -32,6 +33,7 @@
 //! server has provably leaked nothing.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,8 +43,7 @@ use fpga_sim::SimCache;
 use rat_core::engine::{Engine, EngineConfig};
 use rat_core::telemetry;
 
-use crate::api::{self, ApiError, ApiRequest};
-use crate::coalesce::Coalescer;
+use crate::api::{self, ApiError};
 use crate::http::{self, Connection, ReadError, Request};
 use crate::keys;
 use crate::metrics::ServerMetrics;
@@ -111,7 +112,6 @@ struct Shared {
     addr: SocketAddr,
     /// `None` when the cache is disabled (`response_cache_bytes: 0`).
     respcache: Option<Arc<ResponseCache>>,
-    coalescer: Coalescer,
 }
 
 impl Shared {
@@ -251,7 +251,6 @@ impl Server {
             config,
             addr,
             respcache,
-            coalescer: Coalescer::default(),
         });
 
         let acceptor = {
@@ -383,7 +382,14 @@ fn serve_connection(
         let keep = req.keep_alive
             && served + 1 < shared.config.max_requests_per_conn
             && !shared.stop.load(Ordering::SeqCst);
-        let status = match route(shared, engine, &req) {
+        // A panicking handler must not take its worker down with it. The
+        // single-flight guard's Drop already lets any waiters retry.
+        let routed =
+            catch_unwind(AssertUnwindSafe(|| route(shared, engine, &req))).unwrap_or_else(|_| {
+                shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
+                Err(ApiError::Panic)
+            });
+        let status = match routed {
             Ok(Response::Json(body)) => {
                 let _ = http::write_json(conn.stream(), 200, &body, keep);
                 200
@@ -420,6 +426,8 @@ enum Response {
 fn route(shared: &Shared, engine: &Engine, req: &Request) -> Result<Response, ApiError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::Text("ok\n".into())),
+        #[cfg(test)]
+        ("GET", "/test/panic") => panic!("injected handler panic"),
         ("GET", "/metrics") => {
             // Pull whatever the workers have recorded since the last
             // periodic drain, so counters are current at read time.
@@ -462,7 +470,7 @@ fn route(shared: &Shared, engine: &Engine, req: &Request) -> Result<Response, Ap
             let Some(cache) = &shared.respcache else {
                 let parsed = api::parse_mode_request(mode, &req.body)?;
                 return Ok(Response::Json(Arc::new(
-                    run_mode(shared, engine, &parsed)?.to_json(),
+                    api::handle(engine, &parsed, Some(SimCache::global()))?.to_json(),
                 )));
             };
 
@@ -490,7 +498,7 @@ fn route(shared: &Shared, engine: &Engine, req: &Request) -> Result<Response, Ap
                 Lookup::Miss(guard) => {
                     // Errors are not cached: on `?`, the guard's Drop marks
                     // the flight failed and waiters retry for themselves.
-                    let ok = run_mode(shared, engine, &parsed)?;
+                    let ok = api::handle(engine, &parsed, Some(SimCache::global()))?;
                     let body = Arc::new(ok.to_json());
                     guard.complete(Arc::clone(&body));
                     cache.alias_raw(raw, &body);
@@ -498,31 +506,6 @@ fn route(shared: &Shared, engine: &Engine, req: &Request) -> Result<Response, Ap
                 }
             }
         }
-    }
-}
-
-/// Evaluate one parsed request. Solve goes through the coalescer so
-/// concurrent solves share batched evaluation; everything else is the
-/// engine path the CLI also uses.
-fn run_mode(shared: &Shared, engine: &Engine, parsed: &ApiRequest) -> Result<api::ApiOk, ApiError> {
-    match parsed {
-        ApiRequest::Solve {
-            input,
-            target,
-            strict,
-        } => {
-            let quad = shared.coalescer.solve(input, *target);
-            let report = if *strict {
-                api::solve_report_strict_from_quad(input, *target, &quad).map_err(ApiError::Mode)?
-            } else {
-                api::solve_report_from_quad(input, *target, &quad)
-            };
-            Ok(api::ApiOk {
-                mode: "solve",
-                report,
-            })
-        }
-        _ => api::handle(engine, parsed, Some(SimCache::global())),
     }
 }
 
@@ -613,6 +596,7 @@ mod tests {
     /// `read_to_string` terminates under keep-alive defaults).
     fn send_raw(addr: SocketAddr, raw: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         s.write_all(raw.as_bytes()).unwrap();
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap();
@@ -721,6 +705,34 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
 
         handle.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_its_worker_survives() {
+        // One worker, so the request after the panic lands on the very
+        // worker that panicked.
+        let handle = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = handle.addr();
+
+        let resp = get_close(addr, "/test/panic");
+        assert!(resp.starts_with("HTTP/1.1 500"), "{resp}");
+        assert!(resp.contains("handler panicked"), "{resp}");
+
+        let health = get_close(addr, "/healthz");
+        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+        let metrics = get_close(addr, "/metrics");
+        assert!(metrics.contains("serve_panics_total 1\n"), "{metrics}");
+
+        let bye = post(addr, "/shutdown", "");
+        assert!(bye.contains("draining"), "{bye}");
+        // `join` fails loudly if any worker thread died.
+        let summary = handle.join();
+        assert_eq!(summary.errored, 1, "{summary:?}");
+        assert!(summary.ok >= 3, "{summary:?}");
     }
 
     #[test]

@@ -291,6 +291,72 @@ fn shutdown_drains_single_flight_waiters_with_full_responses() {
     assert!(summary.ok >= n as u64, "drain lost requests: {summary:?}");
 }
 
+#[test]
+fn concurrent_solves_match_their_solo_bodies_at_1_2_8_workers() {
+    // Concurrent `/v1/solve` bursts with the response cache off, so every
+    // request computes. The case matrix mixes duplicate and distinct
+    // worksheets and targets, including an infeasible target (1e9) and a
+    // rejected one (-2.0), and both strict flavors (so strict 422s too).
+    let start_uncached = |workers| {
+        Server::start(ServeConfig {
+            workers,
+            response_cache_bytes: 0,
+            ..ServeConfig::default()
+        })
+        .expect("server starts")
+    };
+    let bodies: Vec<String> = (0..12)
+        .map(|i| {
+            let mut input = pdf1d();
+            if i % 2 == 0 {
+                input.comp.throughput_proc += 1.0;
+            }
+            let target = match i % 4 {
+                0 => 8.0,
+                1 => 1e9,
+                2 => -2.0,
+                _ => 2.5,
+            };
+            let ws = escape_json(&ws_toml(&input));
+            let strict = i % 3 == 0;
+            format!("{{\"worksheet_toml\": \"{ws}\", \"target\": {target}, \"strict\": {strict}}}")
+        })
+        .collect();
+
+    // Solo references from a quiet server, one request at a time.
+    let reference = start_uncached(1);
+    let solo: Vec<(u16, String)> = bodies
+        .iter()
+        .map(|body| post(reference.addr(), "/v1/solve", body))
+        .collect();
+    reference.shutdown();
+
+    for workers in WORKER_COUNTS {
+        let handle = start_uncached(workers);
+        let addr = handle.addr();
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(bodies.len()));
+        let threads: Vec<_> = bodies
+            .iter()
+            .map(|body| {
+                let body = body.clone();
+                let barrier = std::sync::Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    post(addr, "/v1/solve", &body)
+                })
+            })
+            .collect();
+        for (i, t) in threads.into_iter().enumerate() {
+            let got = t.join().expect("solve thread");
+            assert_eq!(
+                got, solo[i],
+                "case {i} diverged from its solo body at {workers} workers"
+            );
+        }
+        handle.shutdown();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: random worksheets through the server vs the in-process
 // scalar pipeline, bit for bit. Case counts are modest because every case
