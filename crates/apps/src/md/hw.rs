@@ -21,7 +21,7 @@ use rat_core::resources::{device, ResourceEstimate, ResourceReport};
 
 use crate::md::cell_list::neighbor_counts;
 use crate::md::forces::total_ops;
-use crate::md::system::{System, BYTES_PER_MOLECULE};
+use crate::md::system::{System, Vec3, BYTES_PER_MOLECULE};
 
 /// Structural peak of the force pipeline: the paper's tuned
 /// `throughput_proc = 50` ops/cycle, which the RAT inverse solve said a ~10x
@@ -45,8 +45,13 @@ impl MdDesign {
     /// Build the design model from a system snapshot: counts each molecule's
     /// near neighbors and totals the hardware operations.
     pub fn from_system(system: &System, cutoff: f64) -> Self {
-        let counts = neighbor_counts(&system.positions, system.box_len, cutoff);
-        let n = system.len();
+        Self::from_positions(&system.positions, system.box_len, cutoff)
+    }
+
+    /// [`MdDesign::from_system`] over bare positions.
+    pub fn from_positions(positions: &[Vec3], box_len: f64, cutoff: f64) -> Self {
+        let counts = neighbor_counts(positions, box_len, cutoff);
+        let n = positions.len();
         let total = total_ops(&counts, n);
         let mean_near = counts.iter().map(|&c| c as f64).sum::<f64>() / n as f64;
         Self {
@@ -57,18 +62,20 @@ impl MdDesign {
     }
 
     /// Build the paper-scale design: 16,384 molecules at the standard cutoff.
-    /// Costs one full neighbor count (~2.7e8 distance checks); intended for
-    /// release-mode table regeneration.
+    /// Costs one exact neighbor count (~4.8e7 distance checks with the
+    /// half-shell cell grid): well under a second in release, a few seconds in
+    /// a debug build.
     pub fn paper_scale() -> Self {
-        let system = System::random(crate::md::N_MOLECULES, crate::md::BOX_LEN, 0x3d);
-        Self::from_system(&system, crate::md::CUTOFF)
+        let positions = System::random_positions(crate::md::N_MOLECULES, crate::md::BOX_LEN, 0x3d);
+        Self::from_positions(&positions, crate::md::BOX_LEN, crate::md::CUTOFF)
     }
 
     /// Build the paper-scale design analytically: instead of counting
     /// neighbors over the 16,384-particle system, use the uniform-density
     /// expectation `(N-1) * (4/3) pi r_c^3 / V` for the mean near count. Fast
-    /// (no O(N^2) pass) and within a fraction of a percent of
-    /// [`MdDesign::paper_scale`] — useful for debug builds and quick checks.
+    /// (no neighbor pass) and within a fraction of a percent of
+    /// [`MdDesign::paper_scale`]; `reproduce --fast` and the serve routes use
+    /// it.
     pub fn paper_scale_analytic() -> Self {
         let n = crate::md::N_MOLECULES;
         let rc = crate::md::CUTOFF;

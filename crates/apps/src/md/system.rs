@@ -107,11 +107,7 @@ impl System {
     /// A random system: uniform positions in the box, small random velocities,
     /// zero accelerations. Deterministic in `tag`.
     pub fn random(n: usize, box_len: f64, tag: u64) -> Self {
-        assert!(n > 0 && box_len > 0.0);
-        let positions = datagen::uniform_positions(n, tag)
-            .into_iter()
-            .map(|p| Vec3::new(p[0] * box_len, p[1] * box_len, p[2] * box_len))
-            .collect();
+        let positions = Self::random_positions(n, box_len, tag);
         let mut rng = ChaCha8Rng::seed_from_u64(datagen::BASE_SEED ^ tag ^ 0xfeed);
         let velocities = (0..n)
             .map(|_| {
@@ -128,6 +124,16 @@ impl System {
             accelerations: vec![Vec3::ZERO; n],
             box_len,
         }
+    }
+
+    /// The positions of [`System::random`] alone, without allocating the
+    /// velocities and accelerations a neighbor count does not read.
+    pub fn random_positions(n: usize, box_len: f64, tag: u64) -> Vec<Vec3> {
+        assert!(n > 0 && box_len > 0.0);
+        datagen::uniform_positions(n, tag)
+            .into_iter()
+            .map(|p| Vec3::new(p[0] * box_len, p[1] * box_len, p[2] * box_len))
+            .collect()
     }
 
     /// Number of molecules.

@@ -1,5 +1,10 @@
 //! Property-based tests for the case-study substrates: estimator identities,
 //! neighbor-search correctness, force-field physics.
+//!
+//! Neighbor counts are checked against a test-only all-pairs oracle at sizes
+//! where the counting grid engages (many cells per side, a pruned stencil),
+//! on boxes other than the unit cube, and on hand-built positions that sit on
+//! cell boundaries, coincide, or lie exactly a cutoff or half a box apart.
 
 use proptest::prelude::*;
 use rat_apps::datagen;
@@ -135,5 +140,146 @@ proptest! {
         }
         let (_, u1) = compute_forces(&moved, &params);
         prop_assert!((u0 - u1).abs() <= 1e-9 * u0.abs().max(1e-12), "{u0} vs {u1}");
+    }
+}
+
+/// All-pairs oracle for [`neighbor_counts`]: the definition, with no cells.
+fn brute_counts(positions: &[Vec3], box_len: f64, cutoff: f64) -> Vec<u32> {
+    let c2 = cutoff * cutoff;
+    positions
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            positions
+                .iter()
+                .enumerate()
+                .filter(|&(j, q)| j != i && min_image_vec(*p - *q, box_len).norm2() < c2)
+                .count() as u32
+        })
+        .collect()
+}
+
+/// `neighbor_counts` equals the oracle, and its sum is even.
+fn assert_exact(positions: &[Vec3], box_len: f64, cutoff: f64) {
+    let counts = neighbor_counts(positions, box_len, cutoff);
+    let oracle = brute_counts(positions, box_len, cutoff);
+    if let Some(i) = (0..counts.len()).find(|&i| counts[i] != oracle[i]) {
+        panic!(
+            "n {} box {box_len} cutoff {cutoff}: particle {i} at {:?} counts {}, oracle {}",
+            positions.len(),
+            positions[i],
+            counts[i],
+            oracle[i]
+        );
+    }
+    assert_eq!(counts.len(), oracle.len());
+    let sum: u64 = counts.iter().map(|&c| c as u64).sum();
+    assert_eq!(sum % 2, 0, "mutual pairs must count twice");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Up to ~3 000 particles, cutoffs from 1% of the box to all of it, on the
+    /// unit box and on a 2.5-wide one.
+    #[test]
+    fn neighbor_counts_match_oracle_at_scale(
+        n in 1usize..3000,
+        frac in 0.01f64..=1.0,
+        wide in 0u8..2,
+        tag in 0u64..1000,
+    ) {
+        let box_len = if wide == 1 { 2.5 } else { 1.0 };
+        let s = System::random(n, box_len, tag);
+        let cutoff = frac * box_len;
+        let counts = neighbor_counts(&s.positions, box_len, cutoff);
+        prop_assert_eq!(&counts, &brute_counts(&s.positions, box_len, cutoff));
+        let sum: u64 = counts.iter().map(|&c| c as u64).sum();
+        prop_assert_eq!(sum % 2, 0, "mutual pairs must count twice");
+    }
+}
+
+/// The range ends on purpose: a cutoff of 1% of the box (the finest grid the
+/// cube-root cap allows), the paper's 0.329, and exactly `box_len`.
+#[test]
+fn neighbor_counts_match_oracle_across_the_cutoff_range() {
+    for box_len in [1.0, 2.5] {
+        let s = System::random(3000, box_len, 77);
+        for frac in [0.01, 0.1, 0.329, 1.0] {
+            assert_exact(&s.positions, box_len, frac * box_len);
+        }
+    }
+}
+
+/// Hand-built positions: a lattice on the cell boundaries `k·L/m` (from 0.0),
+/// coincident points, pairs exactly one cutoff apart along each axis and across
+/// the periodic wrap, the largest coordinate below `L`, points within ulps of
+/// every cell boundary, and a displacement of exactly `L/2`.
+#[test]
+fn neighbor_counts_exact_on_hand_built_edge_cases() {
+    for box_len in [1.0, 2.5] {
+        // 8 and 12 cells per side are the counting grid at these sizes.
+        for m in [8usize, 12] {
+            let w = box_len / m as f64;
+            let mut cutoffs = vec![w, 2.0 * w, 0.25 * box_len, 0.329 * box_len];
+            cutoffs.extend([0.5 * box_len, box_len]);
+            for cutoff in cutoffs {
+                let mut pos: Vec<Vec3> = (0..m * m * m)
+                    .map(|k| {
+                        let (x, y, z) = (k / (m * m), k / m % m, k % m);
+                        Vec3::new(x as f64 * w, y as f64 * w, z as f64 * w)
+                    })
+                    .collect();
+                // Coincident points: two lattice copies and an off-lattice pair.
+                pos.extend([pos[0], pos[m + 1]]);
+                let q = Vec3::new(0.3 * box_len, 0.6 * box_len, 0.45 * box_len);
+                pos.extend([q, q]);
+                // One cutoff away along each axis.
+                for d in [
+                    Vec3::new(cutoff, 0.0, 0.0),
+                    Vec3::new(0.0, cutoff, 0.0),
+                    Vec3::new(0.0, 0.0, cutoff),
+                ] {
+                    let r = q + d;
+                    pos.push(Vec3::new(
+                        r.x.rem_euclid(box_len),
+                        r.y.rem_euclid(box_len),
+                        r.z.rem_euclid(box_len),
+                    ));
+                }
+                // Straddling the wrap: a cutoff apart and three quarters of one.
+                let below_l = f64::from_bits(box_len.to_bits() - 1);
+                let h = 0.5 * cutoff;
+                pos.extend([
+                    Vec3::new(box_len - h, 0.5 * w, 0.5 * w),
+                    Vec3::new(h, 0.5 * w, 0.5 * w),
+                    Vec3::new(0.5 * w, below_l, 0.5 * w),
+                    Vec3::new(0.5 * w, 0.75 * cutoff, 0.5 * w),
+                    Vec3::new(below_l, below_l, below_l),
+                ]);
+                // A few ulps either side of every interior cell boundary along
+                // x, where the computed cell index can round across it: two
+                // such points can sit in cells two apart yet less than one
+                // cell width (here, the cutoff) apart.
+                for j in 1..m {
+                    let b = (j as f64 * w).to_bits();
+                    for k in 0..9 {
+                        let v = f64::from_bits(b + k - 4);
+                        pos.push(Vec3::new(v, 0.3 * box_len, 0.7 * box_len));
+                    }
+                }
+                // Exactly half a box apart (both signs of the displacement).
+                let e = 0.125 * box_len;
+                pos.extend([
+                    Vec3::new(e, e, e),
+                    Vec3::new(e + 0.5 * box_len, e, e),
+                    Vec3::new(e, e, e + 0.5 * box_len),
+                ]);
+                assert!(pos
+                    .iter()
+                    .all(|p| [p.x, p.y, p.z].iter().all(|&v| (0.0..box_len).contains(&v))));
+                assert_exact(&pos, box_len, cutoff);
+            }
+        }
     }
 }

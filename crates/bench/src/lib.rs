@@ -72,9 +72,9 @@ fn render_body(id: &str, fast: bool) -> String {
 
 /// Regenerate every table and figure.
 ///
-/// `fast` skips the paper-scale MD neighbor count (2.7e8 distance checks) in
-/// favour of a proportionally scaled system; full-scale reproduction is the
-/// default for release binaries.
+/// `fast` skips the paper-scale MD neighbor count (~4.8e7 distance checks) in
+/// favour of its uniform-density expectation; full-scale reproduction is the
+/// default.
 pub fn all_artifacts(fast: bool) -> Vec<Artifact> {
     all_artifacts_with(&Engine::sequential(), fast)
 }

@@ -339,10 +339,10 @@ mod tests {
 
     #[test]
     fn table9_fast_and_full_paths_agree() {
-        // The analytic fast path must track the counted path to <1% on the
-        // workload statistics that drive the table. Use the small-system
-        // counted path scaled analytically as a cross-check instead of the
-        // full 2.7e8-check run (kept for release binaries).
+        // The analytic fast path must land on the worksheet's workload to <1%.
+        // The counted path is pinned exactly (and against this one) by
+        // `md_paper_scale_counted_matches_analytic` in the end-to-end suite,
+        // and byte for byte by the `reproduce all` golden fixture.
         let analytic = md::hw::MdDesign::paper_scale_analytic();
         assert!(
             (analytic.ops_per_element() - 164_000.0).abs() / 164_000.0 < 0.01,

@@ -237,12 +237,9 @@ fn warm_reproduce_all_mostly_hits_the_cache_with_identical_output() {
 /// Satellite pin for the typed-quantity refactor: the full `reproduce all`
 /// output must be byte-identical to the fixture captured before the refactor.
 /// Replicates the CLI's rendering exactly — one `==== id — title ====` banner
-/// per artifact plus the final newline `println!` appends.
+/// per artifact plus the final newline `println!` appends. Runs in both
+/// profiles: the full-scale MD count costs a few seconds in a debug build.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full-scale MD workload; run with --release"
-)]
 fn reproduce_all_matches_golden_fixture() {
     let _g = CACHE_LOCK.lock().unwrap();
     let golden = include_str!("golden/reproduce_all.txt");

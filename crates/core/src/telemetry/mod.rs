@@ -33,7 +33,9 @@
 //! registered on first use); buffers are only merged — and sorted into a
 //! deterministic order — at [`Telemetry::drain`]. The per-thread buffer is
 //! behind a `Mutex` solely so `drain` can read it from another thread; the
-//! owning thread's accesses are uncontended.
+//! owning thread's accesses are uncontended. A panic mid-record leaves at
+//! worst one span open (counted in `open_spans`), so the locks recover a
+//! poisoned guard instead of failing every later span and drain.
 //!
 //! Tests that need isolation construct their own [`Telemetry`] instance; the
 //! instrumented library code records against [`global`], which the CLI enables
@@ -44,7 +46,7 @@ pub mod json;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// A typed argument attached to a span (job index, kind, size, ...).
@@ -275,7 +277,7 @@ impl Telemetry {
             });
             self.registry
                 .lock()
-                .expect("telemetry registry poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .push(Arc::clone(&buf));
             bufs.push((self.id, Arc::clone(&buf)));
             buf
@@ -300,7 +302,7 @@ impl Telemetry {
         }
         let buf = self.buf();
         let (path, depth) = {
-            let mut st = buf.state.lock().expect("telemetry thread buffer poisoned");
+            let mut st = buf.state.lock().unwrap_or_else(PoisonError::into_inner);
             let mut path = String::with_capacity(
                 st.prefix.len() + st.stack.iter().map(|s| s.len() + 1).sum::<usize>() + name.len(),
             );
@@ -336,7 +338,7 @@ impl Telemetry {
             return String::new();
         }
         let buf = self.buf();
-        let st = buf.state.lock().expect("telemetry thread buffer poisoned");
+        let st = buf.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut p = st.prefix.clone();
         for seg in &st.stack {
             p.push_str(seg);
@@ -353,7 +355,7 @@ impl Telemetry {
         }
         let buf = self.buf();
         let previous = {
-            let mut st = buf.state.lock().expect("telemetry thread buffer poisoned");
+            let mut st = buf.state.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut st.prefix, prefix.to_string())
         };
         PrefixGuard {
@@ -384,10 +386,10 @@ impl Telemetry {
         for buf in self
             .registry
             .lock()
-            .expect("telemetry registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
         {
-            let mut st = buf.state.lock().expect("telemetry thread buffer poisoned");
+            let mut st = buf.state.lock().unwrap_or_else(PoisonError::into_inner);
             open_spans += st.stack.len();
             spans.append(&mut st.spans);
         }
@@ -440,11 +442,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(g) = self.inner.take() else { return };
         let end_ns = u64::try_from(g.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut st = g
-            .buf
-            .state
-            .lock()
-            .expect("telemetry thread buffer poisoned");
+        let mut st = g.buf.state.lock().unwrap_or_else(PoisonError::into_inner);
         // Guards drop in LIFO order per thread, so the popped name is ours.
         st.stack.pop();
         st.seq += 1;
@@ -474,7 +472,7 @@ impl Drop for PrefixGuard {
         if let Some((buf, previous)) = self.inner.take() {
             buf.state
                 .lock()
-                .expect("telemetry thread buffer poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .prefix = previous;
         }
     }
@@ -630,6 +628,28 @@ pub fn gauge_max(metric: Metric, v: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panic_holding_a_lock_does_not_poison_the_collector() {
+        let t = Telemetry::new();
+        t.enable();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let buf = t.buf();
+                let _registry = t.registry.lock();
+                let _state = buf.state.lock();
+                panic!("poison the registry and this thread's buffer");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(t.registry.is_poisoned());
+        {
+            let _a = t.span("after");
+        }
+        let p = t.drain();
+        assert_eq!(p.spans.len(), 1);
+        assert_eq!(p.spans[0].path, "after");
+    }
 
     #[test]
     fn disabled_collector_records_nothing() {

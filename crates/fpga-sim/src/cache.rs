@@ -34,7 +34,7 @@ use crate::time::SimTime;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 /// The scalar results of one platform execution — [`Measurement`] minus the
 /// per-event trace.
@@ -137,6 +137,10 @@ fn shard_of(key: u128) -> usize {
 
 /// A concurrent, content-addressed store of simulation results, sharded
 /// [`SHARD_COUNT`] ways.
+///
+/// Each critical section is one map insert, read or clear, or one path
+/// store, so the data stays valid if a holder panics: every lock recovers a
+/// poisoned guard.
 pub struct SimCache {
     shards: [RwLock<HashMap<u128, SimSummary>>; SHARD_COUNT],
     hits: AtomicU64,
@@ -202,7 +206,7 @@ impl SimCache {
                 self.write_shard(k).entry(k).or_insert(v);
             }
         }
-        *self.disk.lock().expect("cache mutex poisoned") = Some(path);
+        *self.disk.lock().unwrap_or_else(PoisonError::into_inner) = Some(path);
     }
 
     /// Read-lock a key's shard, counting a contended try-lock.
@@ -212,9 +216,9 @@ impl SimCache {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
                 self.shard_contention.fetch_add(1, Ordering::Relaxed);
-                shard.read().expect("cache shard poisoned")
+                shard.read().unwrap_or_else(PoisonError::into_inner)
             }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
         }
     }
 
@@ -225,9 +229,9 @@ impl SimCache {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
                 self.shard_contention.fetch_add(1, Ordering::Relaxed);
-                shard.write().expect("cache shard poisoned")
+                shard.write().unwrap_or_else(PoisonError::into_inner)
             }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
         }
     }
 
@@ -271,7 +275,7 @@ impl SimCache {
     pub fn flush(&self) {
         // The disk mutex serializes concurrent flushers; dirty is swapped to
         // zero under it so each batch is written exactly once.
-        let disk = self.disk.lock().expect("cache mutex poisoned");
+        let disk = self.disk.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(path) = disk.as_ref() else {
             return;
         };
@@ -280,7 +284,7 @@ impl SimCache {
         }
         let mut rows: Vec<(u128, SimSummary)> = Vec::new();
         for shard in &self.shards {
-            let map = shard.read().expect("cache shard poisoned");
+            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
             rows.extend(map.iter().map(|(k, v)| (*k, *v)));
         }
         let _ = write_tsv(path, &rows);
@@ -291,7 +295,7 @@ impl SimCache {
         let entries = self
             .shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len() as u64)
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len() as u64)
             .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -313,7 +317,10 @@ impl SimCache {
     /// inserts are discarded along with the entries.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().expect("cache shard poisoned").clear();
+            shard
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
         }
         self.dirty.store(0, Ordering::Relaxed);
         self.reset_stats();
@@ -406,6 +413,28 @@ mod tests {
             host_overhead: SimTime::ZERO,
             iterations: 4,
         }
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_fail_later_lookups() {
+        let cache = SimCache::new();
+        let key = 3u128 << 120;
+        cache.insert(key, sample_summary(10));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _shard = cache.shards[shard_of(key)].write();
+                let _disk = cache.disk.lock();
+                panic!("poison a shard and the disk lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.shards[shard_of(key)].is_poisoned() && cache.disk.is_poisoned());
+        assert_eq!(cache.lookup(key), Some(sample_summary(10)));
+        cache.insert(key + 1, sample_summary(20));
+        cache.flush();
+        assert_eq!(cache.stats().entries, 2);
+        cache.clear();
+        assert_eq!(cache.lookup(key), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`Telemetry::drain`]: rat_core::telemetry::Telemetry::drain
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use fpga_sim::CacheStats;
@@ -128,7 +128,9 @@ pub struct ServerMetrics {
     pub panics: AtomicU64,
     /// Responses by status code, indexed like [`STATUSES`].
     status_counts: [AtomicU64; STATUSES.len()],
-    /// Latency histogram over all served requests.
+    /// Latency histogram over all served requests. Both locks guard
+    /// statistics only, so they recover a guard poisoned by a panicking
+    /// request rather than failing every later one.
     latency: Mutex<Histogram>,
     /// Cumulative pipeline counters, merged from periodic telemetry drains.
     pipeline: Mutex<[u64; Metric::ALL.len()]>,
@@ -146,7 +148,10 @@ impl ServerMetrics {
         if let Some(i) = STATUSES.iter().position(|s| *s == status) {
             self.status_counts[i].fetch_add(1, Ordering::Relaxed);
         }
-        self.latency.lock().expect("latency lock").record(latency);
+        self.latency
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(latency);
     }
 
     /// Total responses with `status` so far.
@@ -161,7 +166,7 @@ impl ServerMetrics {
     /// Merge one drained telemetry [`Profile`] into the cumulative pipeline
     /// totals (sum for counters, max for gauges).
     pub fn merge_profile(&self, profile: &Profile) {
-        let mut totals = self.pipeline.lock().expect("pipeline lock");
+        let mut totals = self.pipeline.lock().unwrap_or_else(PoisonError::into_inner);
         for (i, m) in Metric::ALL.iter().enumerate() {
             let v = profile.metric(*m);
             if m.is_gauge() {
@@ -174,7 +179,7 @@ impl ServerMetrics {
 
     /// Cumulative value of one pipeline metric.
     pub fn pipeline_metric(&self, metric: Metric) -> u64 {
-        let totals = self.pipeline.lock().expect("pipeline lock");
+        let totals = self.pipeline.lock().unwrap_or_else(PoisonError::into_inner);
         Metric::ALL
             .iter()
             .position(|m| *m == metric)
@@ -218,9 +223,12 @@ impl ServerMetrics {
                 out.push_str(&format!("serve_responses_total{{status=\"{s}\"}} {n}\n"));
             }
         }
-        self.latency.lock().expect("latency lock").render(&mut out);
+        self.latency
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .render(&mut out);
         {
-            let totals = self.pipeline.lock().expect("pipeline lock");
+            let totals = self.pipeline.lock().unwrap_or_else(PoisonError::into_inner);
             for (i, m) in Metric::ALL.iter().enumerate() {
                 out.push_str(&format!(
                     "pipeline_{} {}\n",
@@ -245,13 +253,39 @@ impl ServerMetrics {
 
     /// Snapshot of the latency histogram (for bench reporting).
     pub fn latency_snapshot(&self) -> Histogram {
-        self.latency.lock().expect("latency lock").clone()
+        self.latency
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn poisoned_locks_do_not_fail_later_requests() {
+        let metrics = ServerMetrics::new();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _latency = metrics.latency.lock();
+                let _pipeline = metrics.pipeline.lock();
+                panic!("poison both metric locks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(metrics.latency.is_poisoned() && metrics.pipeline.is_poisoned());
+        metrics.observe(200, Duration::from_micros(5));
+        metrics.merge_profile(&rat_core::telemetry::Telemetry::new().drain());
+        assert_eq!(metrics.latency_snapshot().count(), 1);
+        assert_eq!(metrics.pipeline_metric(Metric::EngineJobs), 0);
+        let body = metrics.render(&CacheStats::default(), 0, 0, 1, None);
+        assert!(
+            body.contains("serve_responses_total{status=\"200\"} 1"),
+            "{body}"
+        );
+    }
 
     #[test]
     fn buckets_are_power_of_two_microseconds() {

@@ -6,11 +6,13 @@
 //! when full (the acceptor turns that into a `503`), and `pop` blocks until
 //! an item arrives or the queue is closed — draining remaining items first,
 //! which is what makes shutdown complete in-flight work instead of dropping
-//! it.
+//! it. Every critical section is one `VecDeque` push or pop or one flag
+//! store, so the state stays valid if a holder panics and the lock recovers
+//! a poisoned guard instead of failing every later call.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 struct State<T> {
     items: VecDeque<T>,
@@ -44,7 +46,7 @@ impl<T> BoundedQueue<T> {
     /// Enqueue without blocking. Returns the item back on a full or closed
     /// queue so the caller can reject it (503) instead of stalling.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut s = self.state.lock().expect("queue lock");
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if s.closed || s.items.len() >= self.capacity {
             return Err(item);
         }
@@ -60,7 +62,7 @@ impl<T> BoundedQueue<T> {
     /// once the queue is closed **and** empty, so close + pop-until-None is
     /// a complete drain.
     pub fn pop(&self) -> Option<T> {
-        let mut s = self.state.lock().expect("queue lock");
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(item) = s.items.pop_front() {
                 return Some(item);
@@ -68,20 +70,30 @@ impl<T> BoundedQueue<T> {
             if s.closed {
                 return None;
             }
-            s = self.available.wait(s).expect("queue lock");
+            s = self
+                .available
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Close the queue: future pushes fail, poppers drain what remains and
     /// then observe `None`.
     pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.available.notify_all();
     }
 
     /// Items currently waiting (for the queue-depth gauge).
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .items
+            .len()
     }
 
     /// Deepest the queue has ever been.
@@ -94,6 +106,24 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn a_poisoned_lock_does_not_wedge_the_queue() {
+        let q = BoundedQueue::new(4);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = q.state.lock();
+                panic!("poison the queue lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(q.state.is_poisoned());
+        assert!(q.try_push(7).is_ok());
+        assert_eq!(q.len(), 1);
+        q.close();
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), None);
+    }
 
     #[test]
     fn rejects_when_full_and_drains_on_close() {

@@ -19,11 +19,13 @@
 //! Flights are never evicted — a leader must always find its own marker to
 //! complete. If a leader fails (error response) or panics, its guard's
 //! `Drop` clears the flight and wakes all waiters to retry, so a poisoned
-//! request cannot wedge the cache.
+//! request cannot wedge the cache. A panic while a shard or flight lock is
+//! held leaves at worst a byte count off by one body (eviction still stops
+//! when nothing is evictable), so the locks recover a poisoned guard.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use rat_core::telemetry::{self, Metric};
 
@@ -85,13 +87,17 @@ impl FlightGuard {
     pub fn complete(mut self, body: Arc<String>) {
         self.completed = true;
         {
-            let mut st = self.flight.state.lock().expect("flight lock poisoned");
+            let mut st = self
+                .flight
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             *st = FlightState::Done(Arc::clone(&body));
         }
         self.flight.cv.notify_all();
 
         let shard = &self.cache.shards[shard_of(self.key)];
-        let mut sh = shard.lock().expect("response cache shard poisoned");
+        let mut sh = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(Slot::Pending(_)) = sh.map.get(&self.key) {
             sh.map.remove(&self.key);
             if body.len() <= self.cache.shard_budget {
@@ -118,12 +124,16 @@ impl Drop for FlightGuard {
         // Leader failed: clear the marker and signal retry.
         {
             let shard = &self.cache.shards[shard_of(self.key)];
-            let mut sh = shard.lock().expect("response cache shard poisoned");
+            let mut sh = shard.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(Slot::Pending(_)) = sh.map.get(&self.key) {
                 sh.map.remove(&self.key);
             }
         }
-        let mut st = self.flight.state.lock().expect("flight lock poisoned");
+        let mut st = self
+            .flight
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         *st = FlightState::Failed;
         drop(st);
         self.flight.cv.notify_all();
@@ -195,7 +205,7 @@ impl ResponseCache {
     pub fn lookup_raw(&self, raw_key: u128) -> Option<Arc<String>> {
         let mut sh = self.raw_shards[shard_of(raw_key)]
             .lock()
-            .expect("raw response shard poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         let stamp = self.tick();
         let hit = sh.map.get_mut(&raw_key).map(|(body, s)| {
             *s = stamp;
@@ -214,7 +224,7 @@ impl ResponseCache {
         }
         let mut sh = self.raw_shards[shard_of(raw_key)]
             .lock()
-            .expect("raw response shard poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         let stamp = self.tick();
         match sh.map.entry(raw_key) {
             std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().1 = stamp,
@@ -244,7 +254,7 @@ impl ResponseCache {
             let flight = {
                 let mut sh = self.shards[shard_of(key)]
                     .lock()
-                    .expect("response cache shard poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 match sh.map.get_mut(&key) {
                     Some(Slot::Ready { body, stamp }) => {
                         *stamp = self.tick();
@@ -272,11 +282,11 @@ impl ResponseCache {
 
             // Wait outside the shard lock: flights block only their own key.
             telemetry::add(Metric::ResponseCacheInflightWaits, 1);
-            let mut st = flight.state.lock().expect("flight lock poisoned");
+            let mut st = flight.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 match &*st {
                     FlightState::Pending => {
-                        st = flight.cv.wait(st).expect("flight lock poisoned");
+                        st = flight.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                     FlightState::Done(body) => {
                         telemetry::add(Metric::ResponseCacheHits, 1);
@@ -293,7 +303,7 @@ impl ResponseCache {
         let mut entries = 0;
         let mut bytes = 0;
         for sh in &self.shards {
-            let sh = sh.lock().expect("response cache shard poisoned");
+            let sh = sh.lock().unwrap_or_else(PoisonError::into_inner);
             entries += sh
                 .map
                 .values()
@@ -302,7 +312,7 @@ impl ResponseCache {
             bytes += sh.bytes;
         }
         for sh in &self.raw_shards {
-            let sh = sh.lock().expect("raw response shard poisoned");
+            let sh = sh.lock().unwrap_or_else(PoisonError::into_inner);
             entries += sh.map.len();
             bytes += sh.bytes;
         }
@@ -314,6 +324,37 @@ impl ResponseCache {
 mod tests {
     use super::*;
     use std::sync::Barrier;
+
+    #[test]
+    fn poisoned_shards_and_flights_keep_serving() {
+        let cache = ResponseCache::new(1 << 20);
+        let key = 5u128 << 124;
+        let Lookup::Miss(guard) = cache.begin(key) else {
+            panic!("first lookup must lead");
+        };
+        let flight = Arc::clone(&guard.flight);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _shard = cache.shards[shard_of(key)].lock();
+                let _raw = cache.raw_shards[shard_of(key)].lock();
+                let _flight = flight.state.lock();
+                panic!("poison a shard, its raw twin and an in-flight fill");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.shards[shard_of(key)].is_poisoned() && flight.state.is_poisoned());
+        guard.complete(body("ok"));
+        match cache.begin(key) {
+            Lookup::Hit(b) => assert_eq!(b.as_str(), "ok"),
+            Lookup::Miss(_) => panic!("completed fill must hit"),
+        }
+        cache.alias_raw(key, &body("ok"));
+        assert_eq!(
+            cache.lookup_raw(key).as_deref().map(String::as_str),
+            Some("ok")
+        );
+        assert_eq!(cache.stats().entries, 2);
+    }
 
     fn body(s: &str) -> Arc<String> {
         Arc::new(s.to_string())

@@ -51,12 +51,8 @@ fn main() {
 
     // 4. Ground truth: build the design model over an actual 16,384-molecule
     //    dataset (neighbor counts and all) and execute it on the simulated
-    //    XD1000. Use the analytic workload model in debug builds.
-    let design = if cfg!(debug_assertions) {
-        md::hw::MdDesign::paper_scale_analytic()
-    } else {
-        md::hw::MdDesign::paper_scale()
-    };
+    //    XD1000.
+    let design = md::hw::MdDesign::paper_scale();
     println!(
         "\nDataset reality: {:.0} ops/molecule (worksheet estimated 164000), \
          mean {:.0} near neighbors",
