@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod case_study;
 pub mod datagen;
 pub mod md;
 pub mod pdf;

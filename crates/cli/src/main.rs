@@ -14,20 +14,27 @@
 //! rat example-worksheet                    print a starter worksheet
 //! ```
 //!
-//! The analysis renderers live in `rat_serve::api` and are shared with the
-//! `rat serve` daemon, so a server response body is byte-identical to this
-//! CLI's stdout for the same request (see DESIGN.md §14).
+//! The six worksheet modes (`solve`, `sweep`, `uncertainty`, `explore`,
+//! `optimize`, `sensitivity`) parse their argv into the same
+//! `rat_serve::api::ApiRequest` the `rat serve` daemon parses from JSON, and
+//! both run it through `api::handle`, so a server response body is
+//! byte-identical to this CLI's stdout for the same request (see DESIGN.md
+//! §14).
 
 use std::io::Write;
 use std::process::ExitCode;
 
+use rat_apps::case_study::CaseStudy;
 use rat_core::engine::{Engine, EngineConfig};
-use rat_core::params::RatInput;
+use rat_core::explore::DesignSpace;
+use rat_core::params::{Buffering, RatInput};
 use rat_core::quantity::Freq;
 use rat_core::sweep::SweepParam;
 use rat_core::telemetry;
+use rat_core::uncertainty::ParamRange;
 use rat_core::worksheet::Worksheet;
 use rat_core::RatError;
+use rat_serve::api::{self, ApiError, ApiRequest, OptimizeSpec};
 
 /// A CLI failure: a command-line usage problem, a worksheet I/O or parse
 /// failure, or an error from the model pipeline — each class mapped to a
@@ -140,17 +147,21 @@ impl From<RatError> for CliError {
     }
 }
 
-/// Map a shared-API mode error onto the CLI taxonomy: the context line (if
-/// any) becomes the `error:` line and the [`RatError`] stays on the source
-/// chain, exactly as [`CliError::Context`] renders it.
-impl From<rat_serve::api::ModeError> for CliError {
-    fn from(e: rat_serve::api::ModeError) -> Self {
-        match e.context {
-            Some(context) => CliError::Context {
-                context,
-                source: e.source,
+/// Map a shared-API error onto the CLI taxonomy. A model or value error
+/// keeps its context line as the `error:` line and its [`RatError`] on the
+/// source chain, so the CLI prints the lines a server error body carries;
+/// a request-shape error is a usage error.
+impl From<ApiError> for CliError {
+    fn from(e: ApiError) -> Self {
+        match e {
+            ApiError::Mode(m) => match m.context {
+                Some(context) => CliError::Context {
+                    context,
+                    source: m.source,
+                },
+                None => CliError::Rat(m.source),
             },
-            None => CliError::Rat(e.source),
+            other => CliError::Usage(other.message()),
         }
     }
 }
@@ -336,15 +347,9 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
             let n = it
                 .next()
                 .ok_or_else(|| CliError::usage("--jobs needs a thread count"))?;
-            flags.config = flags.config.with_jobs(
-                n.parse()
-                    .map_err(|e| CliError::usage(format!("bad --jobs value '{n}': {e}")))?,
-            );
+            flags.config = flags.config.with_jobs(parse_num("--jobs", n)?);
         } else if let Some(n) = a.strip_prefix("--jobs=") {
-            flags.config = flags.config.with_jobs(
-                n.parse()
-                    .map_err(|e| CliError::usage(format!("bad --jobs value '{n}': {e}")))?,
-            );
+            flags.config = flags.config.with_jobs(parse_num("--jobs", n)?);
         } else if a == "--no-cache" {
             flags.no_cache = true;
             flags.config = flags.config.with_cache(false);
@@ -405,190 +410,15 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        "solve" => {
-            let strict = args.iter().any(|a| a == "--strict");
-            let pos: Vec<&String> = args[1..].iter().filter(|a| *a != "--strict").collect();
-            let input = load_worksheet(pos.first().copied())?;
-            let target: f64 = pos
-                .get(1)
-                .ok_or_else(|| CliError::usage("solve needs a target speedup"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad target speedup: {e}")))?;
-            if strict {
-                Ok(rat_serve::api::solve_report_strict(&input, target)?)
-            } else {
-                Ok(rat_serve::api::solve_report(&input, target))
-            }
-        }
-        "sweep" => {
-            let input = load_worksheet(args.get(1))?;
-            let param = parse_param(args.get(2).map(String::as_str).unwrap_or(""))?;
-            let values: Vec<f64> = args[3..]
-                .iter()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|e| CliError::usage(format!("bad sweep value '{v}': {e}")))
-                })
-                .collect::<Result<_, _>>()?;
-            if values.is_empty() {
-                return Err(CliError::usage("sweep needs at least one value"));
-            }
-            Ok(rat_serve::api::sweep_report(
-                engine, &input, param, &values,
-            )?)
-        }
-        "sensitivity" => {
-            let input = load_worksheet(args.get(1))?;
-            Ok(rat_serve::api::sensitivity_report(engine, &input)?)
-        }
-        "explore" => {
-            let input = load_worksheet(args.get(1))?;
-            let min_speedup: f64 = args
-                .get(2)
-                .ok_or_else(|| CliError::usage("explore needs a minimum speedup"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad minimum speedup: {e}")))?;
-            let mut fclocks = None;
-            let mut throughput_procs = None;
-            let mut bufferings = None;
-            let mut it = args.iter().skip(3);
-            while let Some(a) = it.next() {
-                let mut take = |flag: &str| {
-                    it.next()
-                        .ok_or_else(|| CliError::usage(format!("{flag} needs a value list")))
-                };
-                match a.as_str() {
-                    "--fclocks" => fclocks = Some(parse_f64_csv(take("--fclocks")?)?),
-                    "--throughput-procs" => {
-                        throughput_procs = Some(parse_f64_csv(take("--throughput-procs")?)?)
-                    }
-                    "--bufferings" => {
-                        bufferings = Some(
-                            take("--bufferings")?
-                                .split(',')
-                                .map(|b| {
-                                    rat_serve::api::parse_buffering(b.trim())
-                                        .map_err(CliError::usage)
-                                })
-                                .collect::<Result<Vec<_>, _>>()?,
-                        )
-                    }
-                    other => {
-                        return Err(CliError::usage(format!("unknown explore flag '{other}'")))
-                    }
-                }
-            }
-            Ok(rat_serve::api::explore_report(
-                &input,
-                min_speedup,
-                fclocks,
-                throughput_procs,
-                bufferings,
-            )?)
-        }
-        "optimize" => {
-            let input = load_worksheet(args.get(1))?;
-            let mut spec = rat_serve::api::OptimizeSpec::default();
-            let mut it = args.iter().skip(2);
-            while let Some(a) = it.next() {
-                let mut take = |flag: &str| {
-                    it.next()
-                        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-                };
-                let parse_range = |flag: &str, text: &str| -> Result<(f64, f64), CliError> {
-                    let v = parse_f64_csv(text)?;
-                    if v.len() != 2 {
-                        return Err(CliError::usage(format!(
-                            "{flag} needs a lo,hi pair, got {} value(s)",
-                            v.len()
-                        )));
-                    }
-                    Ok((v[0], v[1]))
-                };
-                match a.as_str() {
-                    "--seed" => {
-                        spec.seed = Some(
-                            take("--seed")?
-                                .parse()
-                                .map_err(|e| CliError::usage(format!("bad --seed value: {e}")))?,
-                        )
-                    }
-                    "--generations" => {
-                        spec.generations = Some(take("--generations")?.parse().map_err(|e| {
-                            CliError::usage(format!("bad --generations value: {e}"))
-                        })?)
-                    }
-                    "--population" => {
-                        spec.population =
-                            Some(take("--population")?.parse().map_err(|e| {
-                                CliError::usage(format!("bad --population value: {e}"))
-                            })?)
-                    }
-                    "--fclock-range" => {
-                        spec.fclock_range =
-                            Some(parse_range("--fclock-range", take("--fclock-range")?)?)
-                    }
-                    "--throughput-range" => {
-                        spec.throughput_range = Some(parse_range(
-                            "--throughput-range",
-                            take("--throughput-range")?,
-                        )?)
-                    }
-                    "--bufferings" => {
-                        spec.bufferings = Some(
-                            take("--bufferings")?
-                                .split(',')
-                                .map(|b| {
-                                    rat_serve::api::parse_buffering(b.trim())
-                                        .map_err(CliError::usage)
-                                })
-                                .collect::<Result<Vec<_>, _>>()?,
-                        )
-                    }
-                    "--devices" => {
-                        spec.devices = Some(
-                            take("--devices")?
-                                .split(',')
-                                .map(|d| d.trim().to_string())
-                                .collect(),
-                        )
-                    }
-                    "--precision-bits" => {
-                        spec.precision_bits = Some(
-                            take("--precision-bits")?
-                                .split(',')
-                                .map(|b| {
-                                    b.trim().parse().map_err(|e| {
-                                        CliError::usage(format!(
-                                            "bad --precision-bits value '{b}': {e}"
-                                        ))
-                                    })
-                                })
-                                .collect::<Result<Vec<u32>, _>>()?,
-                        )
-                    }
-                    other => {
-                        return Err(CliError::usage(format!("unknown optimize flag '{other}'")))
-                    }
-                }
-            }
-            Ok(
-                rat_serve::api::optimize_report(engine, &input, &spec).map_err(|e| {
-                    rat_serve::api::ModeError::with_context(
-                        format!("running optimize for worksheet '{}'", input.name),
-                        e,
-                    )
-                })?,
-            )
+        "solve" | "sweep" | "uncertainty" | "explore" | "optimize" | "sensitivity" => {
+            let req = parse_request(cmd, &args[1..])?;
+            Ok(api::handle(engine, &req, Some(fpga_sim::SimCache::global()))?.report)
         }
         "multi-fpga" => {
             let input = load_worksheet(args.get(1))?;
             let max: u32 = args
                 .get(2)
-                .map(|v| {
-                    v.parse()
-                        .map_err(|e| CliError::usage(format!("bad device count: {e}")))
-                })
+                .map(|v| parse_num("device count", v))
                 .transpose()?
                 .unwrap_or(16);
             let curve = rat_core::multifpga::scaling_curve_with(engine, &input, max)?;
@@ -611,35 +441,6 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             };
             let s = rat_core::streaming::analyze(&input, duplex)?;
             Ok(s.render())
-        }
-        "uncertainty" => {
-            let input = load_worksheet(args.get(1))?;
-            // Ranges as triples: <param> <lo> <hi> ...
-            let mut ranges = Vec::new();
-            let mut rest = &args[2..];
-            while rest.len() >= 3 {
-                let param = parse_param(&rest[0])?;
-                let lo: f64 = rest[1]
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("bad range low '{}': {e}", rest[1])))?;
-                let hi: f64 = rest[2]
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("bad range high '{}': {e}", rest[2])))?;
-                ranges.push(rat_core::uncertainty::ParamRange::new(param, lo, hi));
-                rest = &rest[3..];
-            }
-            if ranges.is_empty() {
-                return Err(CliError::usage(
-                    "uncertainty needs at least one <param> <lo> <hi> triple",
-                ));
-            }
-            Ok(rat_serve::api::uncertainty_report(
-                engine,
-                &input,
-                &ranges,
-                rat_serve::api::DEFAULT_MC_SAMPLES,
-                engine.config().root_seed,
-            )?)
         }
         "microbench" => {
             let spec = parse_platform(args.get(1).map(String::as_str).unwrap_or(""))?;
@@ -673,55 +474,32 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             }
         }
         "trace" => {
-            let app = args.get(1).map(String::as_str);
+            let name = args.get(1).map_or("", String::as_str);
+            let study = CaseStudy::find(name).map_err(CliError::usage)?;
             // Optional `--mhz <v>` overrides the case study's tuned clock; the
-            // override is user input, so simulator rejections (e.g. a zero or
-            // negative clock) surface as exit-code-5 errors with context
-            // rather than panics.
-            let mut mhz_override = None;
+            // override is user input, so a clock outside the simulator's band
+            // surfaces as an exit-code-5 error with context, not a panic.
+            let mut mhz = study.default_mhz();
             let mut it = args.iter().skip(2);
             while let Some(a) = it.next() {
                 if a == "--mhz" {
                     let v = it
                         .next()
                         .ok_or_else(|| CliError::usage("--mhz needs a frequency in MHz"))?;
-                    mhz_override = Some(
-                        v.parse::<f64>()
-                            .map_err(|e| CliError::usage(format!("bad --mhz value '{v}': {e}")))?,
-                    );
+                    mhz = parse_num("--mhz", v)?;
                 }
             }
-            let (name, default_hz, t_soft) = match app {
-                Some("pdf1d") => ("pdf1d", 150.0e6, rat_apps::pdf::pdf1d::T_SOFT),
-                Some("pdf2d") => ("pdf2d", 150.0e6, rat_apps::pdf::pdf2d::T_SOFT),
-                Some("md") => ("md", 100.0e6, rat_apps::md::rat::T_SOFT),
-                Some("sort") => ("sort", 150.0e6, rat_apps::sort::rat::T_SOFT),
-                other => {
-                    return Err(CliError::usage(format!(
-                        "trace needs a case study (pdf1d|pdf2d|md|sort), got {other:?}"
-                    )))
-                }
-            };
-            let fclk = mhz_override.map_or(default_hz, |mhz| mhz * 1.0e6);
-            let measurement = match name {
-                "pdf1d" => rat_apps::pdf::pdf1d::design().try_simulate(fclk),
-                "pdf2d" => rat_apps::pdf::pdf2d::design().try_simulate(fclk),
-                "md" => rat_apps::md::hw::MdDesign::paper_scale_analytic().try_simulate(fclk),
-                _ => rat_apps::sort::rat::design().try_simulate(fclk),
-            }
-            .map_err(|e| CliError::Context {
-                context: format!("simulating {name} at {:.1} MHz", fclk / 1.0e6),
-                source: e.into(),
+            let measurement = study.simulate(mhz).map_err(|source| CliError::Context {
+                context: format!("simulating {name} at {mhz:.1} MHz"),
+                source,
             })?;
-            let csv = args.iter().any(|a| a == "--csv");
-            if csv {
+            if args.iter().any(|a| a == "--csv") {
                 Ok(measurement.trace.to_csv())
             } else {
                 Ok(format!(
-                    "{}\nsimulated at {:.0} MHz; speedup {:.1}x\n\nfirst-iterations Gantt:\n{}",
+                    "{}\nsimulated at {mhz:.0} MHz; speedup {:.1}x\n\nfirst-iterations Gantt:\n{}",
                     measurement.render(),
-                    fclk / 1e6,
-                    t_soft / measurement.total.as_secs_f64(),
+                    study.t_soft() / measurement.total.as_secs_f64(),
                     measurement.trace.render_gantt(100)
                 ))
             }
@@ -751,19 +529,14 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
         }
         "breakeven" => {
             let input = load_worksheet(args.get(1))?;
-            let dev_hours: f64 = args
-                .get(2)
-                .ok_or_else(|| CliError::usage("breakeven needs <dev-hours> <runs-per-day>"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad dev-hours: {e}")))?;
-            let runs_per_day: f64 = args
-                .get(3)
-                .ok_or_else(|| CliError::usage("breakeven needs <dev-hours> <runs-per-day>"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad runs-per-day: {e}")))?;
+            let (Some(hours), Some(runs)) = (args.get(2), args.get(3)) else {
+                return Err(CliError::usage(
+                    "breakeven needs <dev-hours> <runs-per-day>",
+                ));
+            };
             let cost = rat_core::breakeven::MigrationCost {
-                development_hours: dev_hours,
-                runs_per_day,
+                development_hours: parse_num("dev-hours", hours)?,
+                runs_per_day: parse_num("runs-per-day", runs)?,
             };
             let be = rat_core::breakeven::BreakEven::analyze(&input, &cost)?;
             Ok(be.render())
@@ -826,24 +599,11 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
                         .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
                 };
                 match a.as_str() {
-                    "--port" => {
-                        let v = take("--port")?;
-                        config.port = v
-                            .parse()
-                            .map_err(|e| CliError::usage(format!("bad --port value '{v}': {e}")))?;
-                    }
+                    "--port" => config.port = parse_num("--port", take("--port")?)?,
                     "--addr" => config.addr = take("--addr")?.clone(),
-                    "--workers" => {
-                        let v = take("--workers")?;
-                        config.workers = v.parse().map_err(|e| {
-                            CliError::usage(format!("bad --workers value '{v}': {e}"))
-                        })?;
-                    }
+                    "--workers" => config.workers = parse_num("--workers", take("--workers")?)?,
                     "--queue" => {
-                        let v = take("--queue")?;
-                        let cap: usize = v.parse().map_err(|e| {
-                            CliError::usage(format!("bad --queue value '{v}': {e}"))
-                        })?;
+                        let cap: usize = parse_num("--queue", take("--queue")?)?;
                         if cap == 0 {
                             return Err(CliError::usage("--queue needs a capacity of at least 1"));
                         }
@@ -884,21 +644,15 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--poll-ms" => {
-                        poll_ms = it
+                    flag @ ("--poll-ms" | "--max-renders") => {
+                        let v = it
                             .next()
-                            .ok_or_else(|| CliError::usage("--poll-ms needs a value"))?
-                            .parse()
-                            .map_err(|e| CliError::usage(format!("bad --poll-ms value: {e}")))?;
-                    }
-                    "--max-renders" => {
-                        max_renders = it
-                            .next()
-                            .ok_or_else(|| CliError::usage("--max-renders needs a value"))?
-                            .parse()
-                            .map_err(|e| {
-                                CliError::usage(format!("bad --max-renders value: {e}"))
-                            })?;
+                            .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?;
+                        if flag == "--poll-ms" {
+                            poll_ms = parse_num(flag, v)?;
+                        } else {
+                            max_renders = parse_num(flag, v)?;
+                        }
                     }
                     other if other.starts_with("--") => {
                         return Err(CliError::usage(format!("unknown watch flag '{other}'")));
@@ -915,6 +669,129 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
         "example-worksheet" => Ok(example_worksheet()),
         other => Err(CliError::usage(format!("unknown command '{other}'"))),
     }
+}
+
+/// Parse the argv of one of the six worksheet modes (`args` follow the
+/// command name) into the [`ApiRequest`] `rat serve` parses from JSON, then
+/// run the shared value check. Only argv syntax is decided here.
+fn parse_request(cmd: &str, args: &[String]) -> Result<ApiRequest, CliError> {
+    let req = match cmd {
+        "solve" => {
+            let strict = args.iter().any(|a| a == "--strict");
+            let pos: Vec<&String> = args.iter().filter(|a| *a != "--strict").collect();
+            let input = load_worksheet(pos.first().copied())?;
+            let target = pos
+                .get(1)
+                .ok_or_else(|| CliError::usage("solve needs a target speedup"))?;
+            ApiRequest::Solve {
+                input,
+                target: parse_num("target speedup", target)?,
+                strict,
+            }
+        }
+        "sweep" => ApiRequest::Sweep {
+            input: load_worksheet(args.first())?,
+            param: parse_param(args.get(1).map_or("", String::as_str))?,
+            values: args
+                .get(2..)
+                .unwrap_or_default()
+                .iter()
+                .map(|v| parse_num("sweep", v))
+                .collect::<Result<_, _>>()?,
+        },
+        "uncertainty" => {
+            let input = load_worksheet(args.first())?;
+            let triples = args.get(1..).unwrap_or_default();
+            if triples.len() % 3 != 0 {
+                return Err(CliError::usage(
+                    "uncertainty ranges come as <param> <lo> <hi> triples",
+                ));
+            }
+            let ranges = triples
+                .chunks(3)
+                .map(|t| {
+                    Ok(ParamRange {
+                        param: parse_param(&t[0])?,
+                        lo: parse_num("range low", &t[1])?,
+                        hi: parse_num("range high", &t[2])?,
+                    })
+                })
+                .collect::<Result<_, CliError>>()?;
+            ApiRequest::Uncertainty {
+                input,
+                ranges,
+                samples: None,
+                seed: None,
+            }
+        }
+        "explore" => {
+            let input = load_worksheet(args.first())?;
+            let min_speedup = args
+                .get(1)
+                .ok_or_else(|| CliError::usage("explore needs a minimum speedup"))?;
+            let min_speedup = parse_num("minimum speedup", min_speedup)?;
+            let (mut fclocks, mut throughput_procs, mut bufferings) = (None, None, None);
+            for (flag, value) in flag_pairs(args.get(2..).unwrap_or_default())? {
+                match flag {
+                    "--fclocks" => fclocks = Some(parse_csv(flag, value)?),
+                    "--throughput-procs" => throughput_procs = Some(parse_csv(flag, value)?),
+                    "--bufferings" => bufferings = Some(parse_bufferings(value)?),
+                    other => {
+                        return Err(CliError::usage(format!("unknown explore flag '{other}'")))
+                    }
+                }
+            }
+            ApiRequest::Explore {
+                space: DesignSpace::around(input, fclocks, throughput_procs, bufferings),
+                min_speedup,
+            }
+        }
+        "optimize" => {
+            let input = load_worksheet(args.first())?;
+            let mut spec = OptimizeSpec::default();
+            let pair = |flag: &str, text: &str| -> Result<(f64, f64), CliError> {
+                match parse_csv(flag, text)?[..] {
+                    [lo, hi] => Ok((lo, hi)),
+                    ref v => Err(CliError::usage(format!(
+                        "{flag} needs a lo,hi pair, got {} value(s)",
+                        v.len()
+                    ))),
+                }
+            };
+            for (flag, value) in flag_pairs(args.get(1..).unwrap_or_default())? {
+                match flag {
+                    "--seed" => spec.seed = Some(parse_num(flag, value)?),
+                    "--generations" => spec.generations = Some(parse_num(flag, value)?),
+                    "--population" => spec.population = Some(parse_num(flag, value)?),
+                    "--fclock-range" => spec.fclock_range = Some(pair(flag, value)?),
+                    "--throughput-range" => spec.throughput_range = Some(pair(flag, value)?),
+                    "--bufferings" => spec.bufferings = Some(parse_bufferings(value)?),
+                    "--devices" => spec.devices = Some(parse_csv(flag, value)?),
+                    "--precision-bits" => spec.precision_bits = Some(parse_csv(flag, value)?),
+                    other => {
+                        return Err(CliError::usage(format!("unknown optimize flag '{other}'")))
+                    }
+                }
+            }
+            ApiRequest::Optimize { input, spec }
+        }
+        "sensitivity" => ApiRequest::Sensitivity {
+            input: load_worksheet(args.first())?,
+        },
+        other => return Err(CliError::usage(format!("unknown command '{other}'"))),
+    };
+    req.check()?;
+    Ok(req)
+}
+
+/// Pair each `--flag` in `args` with the value that follows it.
+fn flag_pairs(args: &[String]) -> Result<Vec<(&str, &str)>, CliError> {
+    args.chunks(2)
+        .map(|p| match p {
+            [flag, value] => Ok((flag.as_str(), value.as_str())),
+            _ => Err(CliError::usage(format!("{} needs a value", p[0]))),
+        })
+        .collect()
 }
 
 /// `rat watch`: poll the worksheet file and re-run the analysis whenever its
@@ -1075,29 +952,38 @@ fn parse_mhz_list(args: &[String]) -> Result<Vec<Freq>, CliError> {
         ));
     }
     args.iter()
-        .map(|a| {
-            a.parse::<f64>()
-                .map(Freq::from_mhz)
-                .map_err(|e| CliError::usage(format!("bad frequency '{a}': {e}")))
-        })
+        .map(|a| parse_num("frequency", a).map(Freq::from_mhz))
         .collect()
 }
 
-/// A comma-separated list of numbers (`100e6,150e6`), for explore's axes.
-fn parse_f64_csv(text: &str) -> Result<Vec<f64>, CliError> {
+/// Parse one number from argv; a malformed token is a usage error.
+fn parse_num<T: std::str::FromStr>(what: &str, text: &str) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .map_err(|e| CliError::usage(format!("bad {what} value '{text}': {e}")))
+}
+
+/// A comma-separated list of values (`100e6,150e6`), each trimmed.
+fn parse_csv<T: std::str::FromStr>(flag: &str, text: &str) -> Result<Vec<T>, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    text.split(',').map(|v| parse_num(flag, v.trim())).collect()
+}
+
+/// A comma-separated list of buffering disciplines (`single,double`).
+fn parse_bufferings(text: &str) -> Result<Vec<Buffering>, CliError> {
     text.split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad value '{v}': {e}")))
-        })
+        .map(|b| api::parse_buffering(b.trim()).map_err(CliError::usage))
         .collect()
 }
 
 /// Parameter names are owned by the shared API layer so the CLI and the
 /// server accept (and reject) exactly the same spellings.
 fn parse_param(name: &str) -> Result<SweepParam, CliError> {
-    rat_serve::api::parse_param(name).map_err(CliError::usage)
+    api::parse_param(name).map_err(CliError::usage)
 }
 
 fn parse_platform(name: &str) -> Result<fpga_sim::platform::PlatformSpec, CliError> {

@@ -102,12 +102,37 @@ fn infeasible_strict_solve_exits_4_with_cause_chain() {
 
 #[test]
 fn simulation_failure_exits_5_with_cause_chain() {
-    // A zero clock is user input the simulator rejects; the CLI must report
-    // what it was doing (context) plus the simulator's reason (cause).
-    let (_, stderr, code) = run_rat_env(&["trace", "pdf1d", "--mhz", "0"], &[]);
-    assert_eq!(code, 5, "stderr: {stderr}");
-    assert!(stderr.contains("error: simulating pdf1d"), "{stderr}");
-    assert!(stderr.contains("caused by: simulation failed:"), "{stderr}");
+    // A zero clock, or one past the simulator's (0, 1e6] MHz band, is user
+    // input the simulator rejects; the CLI must report what it was doing
+    // (context) plus the simulator's reason (cause).
+    for mhz in ["0", "1e9"] {
+        let (_, stderr, code) = run_rat_env(&["trace", "pdf1d", "--mhz", mhz], &[]);
+        assert_eq!(code, 5, "--mhz {mhz}: {stderr}");
+        assert!(stderr.contains("error: simulating pdf1d"), "{stderr}");
+        assert!(stderr.contains("caused by: simulation failed:"), "{stderr}");
+    }
+}
+
+#[test]
+fn inverted_uncertainty_range_exits_3_naming_the_parameter() {
+    // A checked value, not an assertion: no panic (exit 101), but exit 3
+    // with the parameter named on the cause chain.
+    let (_, stderr, code) = run_rat_env(
+        &[
+            "uncertainty",
+            &worksheet("pdf1d"),
+            "fclock",
+            "150e6",
+            "75e6",
+        ],
+        &[],
+    );
+    assert_eq!(code, 3, "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("caused by: invalid quantity in field `ranges.fclock`"),
+        "{stderr}"
+    );
 }
 
 #[test]

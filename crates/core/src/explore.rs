@@ -59,56 +59,58 @@ impl Corner {
 pub struct DesignSpace {
     /// The base design; axis values overwrite its corresponding fields.
     pub base: RatInput,
-    /// Candidate clock frequencies (Hz). Empty = keep the base clock.
+    /// Candidate clock frequencies (Hz).
     pub fclocks: Vec<f64>,
     /// Candidate `throughput_proc` values (ops/cycle), typically one per
-    /// parallelism level under consideration. Empty = keep the base value.
+    /// parallelism level under consideration.
     pub throughput_procs: Vec<f64>,
-    /// Candidate buffering disciplines. Empty = keep the base discipline.
+    /// Candidate buffering disciplines.
     pub bufferings: Vec<Buffering>,
 }
 
 impl DesignSpace {
-    /// A space that only varies the clock — the paper's own exploration shape.
-    pub fn clocks(base: RatInput, fclocks: Vec<f64>) -> Self {
+    /// The space `rat explore` searches around `base`: each axis given as
+    /// `None` takes its default — the base clock, the base `throughput_proc`,
+    /// and both buffering disciplines. This is the one place those defaults
+    /// are decided.
+    pub fn around(
+        base: RatInput,
+        fclocks: Option<Vec<f64>>,
+        throughput_procs: Option<Vec<f64>>,
+        bufferings: Option<Vec<Buffering>>,
+    ) -> Self {
         Self {
+            fclocks: fclocks.unwrap_or_else(|| vec![base.comp.fclock.hz()]),
+            throughput_procs: throughput_procs.unwrap_or_else(|| vec![base.comp.throughput_proc]),
+            bufferings: bufferings.unwrap_or_else(|| vec![Buffering::Single, Buffering::Double]),
             base,
-            fclocks,
-            throughput_procs: Vec::new(),
-            bufferings: Vec::new(),
         }
     }
 
-    /// Number of corners the space contains.
+    /// A space that only varies the clock — the paper's own exploration
+    /// shape; the other axes hold the base worksheet's values.
+    pub fn clocks(base: RatInput, fclocks: Vec<f64>) -> Self {
+        let buffering = base.buffering;
+        Self::around(base, Some(fclocks), None, Some(vec![buffering]))
+    }
+
+    /// Number of corners the space contains (0 if any axis is empty),
+    /// saturating at `usize::MAX`.
     pub fn size(&self) -> usize {
-        self.fclocks.len().max(1)
-            * self.throughput_procs.len().max(1)
-            * self.bufferings.len().max(1)
+        self.fclocks
+            .len()
+            .saturating_mul(self.throughput_procs.len())
+            .saturating_mul(self.bufferings.len())
     }
 
     /// Enumerate every corner's raw coordinates, in deterministic axis order
     /// (clock outermost, buffering innermost). This is the cheap enumeration:
     /// no input clones, no name formatting — a corner is three scalars.
     pub fn corner_coords(&self) -> Vec<Corner> {
-        let fclocks: Vec<f64> = if self.fclocks.is_empty() {
-            vec![self.base.comp.fclock.hz()]
-        } else {
-            self.fclocks.clone()
-        };
-        let tps: Vec<f64> = if self.throughput_procs.is_empty() {
-            vec![self.base.comp.throughput_proc]
-        } else {
-            self.throughput_procs.clone()
-        };
-        let bufs: Vec<Buffering> = if self.bufferings.is_empty() {
-            vec![self.base.buffering]
-        } else {
-            self.bufferings.clone()
-        };
         let mut out = Vec::with_capacity(self.size());
-        for &f in &fclocks {
-            for &tp in &tps {
-                for &b in &bufs {
+        for &f in &self.fclocks {
+            for &tp in &self.throughput_procs {
+                for &b in &self.bufferings {
                     out.push(Corner {
                         fclock_hz: f,
                         throughput_proc: tp,

@@ -1,8 +1,13 @@
 //! The analysis API surface shared by the CLI and the server.
 //!
-//! Every mode handler here returns the **exact report text** the CLI prints
-//! for the same inputs — the CLI's `dispatch` calls these functions, and the
-//! server wraps their output in a one-field JSON envelope. That shared code
+//! There is one typed request, [`ApiRequest`], and one dispatcher,
+//! [`handle`]. The server parses a JSON body into an `ApiRequest`
+//! ([`parse_mode_request`]); the CLI parses its argv into the same type.
+//! Each front end checks only its own syntax (argv tokens; JSON types and
+//! the 2^53 seed limit). Every rule about a field's *value* lives in
+//! [`ApiRequest::check`], which both parsers call. `handle` then resolves
+//! the remaining defaults and renders the **exact report text** the CLI
+//! prints; the server wraps it in a one-field JSON envelope. That single
 //! path is the parity contract: `crates/serve/tests/parity.rs` asserts the
 //! JSON body a warm server returns is byte-identical to what a cold CLI
 //! process computes, and it holds because there is only one renderer.
@@ -14,7 +19,7 @@
 //! | class | CLI exit | HTTP status |
 //! |-------|----------|-------------|
 //! | usage / malformed request | 2 | 400 |
-//! | invalid parameter, quantity, or TOML | 3 | 400 |
+//! | invalid parameter, quantity, or TOML; a value rule | 3 | 400 |
 //! | infeasible | 4 | 422 |
 //! | simulation failure | 5 | 500 |
 //! | cache I/O failure | 6 | 507 |
@@ -23,8 +28,10 @@
 //! 405 wrong method, 408 request timeout, 413 oversized body, 503 queue
 //! full / draining.
 
+use fixedpoint::format::MAX_TOTAL_BITS;
 use fixedpoint::QFormat;
 use fpga_sim::SimCache;
+use rat_apps::case_study::CaseStudy;
 use rat_core::engine::Engine;
 use rat_core::explore::{explore, DesignSpace};
 use rat_core::optimize::{optimize, OptimizeConfig, OptimizeSpace};
@@ -35,8 +42,8 @@ use rat_core::telemetry::json::{self, Json};
 use rat_core::uncertainty::ParamRange;
 use rat_core::RatError;
 
-/// Monte-Carlo sample count used when a request does not specify one — the
-/// same 10 000 the CLI's `uncertainty` command always uses.
+/// Monte-Carlo sample count used when a request does not specify one (the
+/// CLI's `uncertainty` command never does).
 pub const DEFAULT_MC_SAMPLES: usize = 10_000;
 
 /// Upper bound on Monte-Carlo samples per request: a resident service must
@@ -50,7 +57,7 @@ pub const MAX_SWEEP_VALUES: usize = 100_000;
 pub const MAX_EXPLORE_CORNERS: usize = 1_000_000;
 
 /// Upper bound on guided-search evaluations (generations × population) per
-/// optimize request.
+/// optimize request; it also caps each factor.
 pub const MAX_OPTIMIZE_EVALS: u64 = 1_000_000;
 
 /// A model-pipeline failure plus the context line describing what the
@@ -69,15 +76,6 @@ impl ModeError {
     pub fn with_context(context: impl Into<String>, source: RatError) -> Self {
         ModeError {
             context: Some(context.into()),
-            source,
-        }
-    }
-}
-
-impl From<RatError> for ModeError {
-    fn from(source: RatError) -> Self {
-        ModeError {
-            context: None,
             source,
         }
     }
@@ -202,12 +200,6 @@ impl ApiError {
     }
 }
 
-impl From<ModeError> for ApiError {
-    fn from(m: ModeError) -> Self {
-        ApiError::Mode(m)
-    }
-}
-
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 8);
@@ -251,19 +243,33 @@ impl ApiOk {
 // Shared argument parsing (CLI flags and request JSON use the same names).
 // ---------------------------------------------------------------------------
 
+/// Every sweep-parameter name both front ends accept, with its parameter.
+const PARAMS: [(&str, SweepParam); 8] = [
+    ("fclock", SweepParam::Fclock),
+    ("alpha-write", SweepParam::AlphaWrite),
+    ("alpha-read", SweepParam::AlphaRead),
+    ("alpha", SweepParam::AlphaBoth),
+    ("throughput-proc", SweepParam::ThroughputProc),
+    ("ops-per-element", SweepParam::OpsPerElement),
+    ("elements-in", SweepParam::ElementsIn),
+    ("iterations", SweepParam::Iterations),
+];
+
 /// Parse a sweep-parameter name. The accepted names are the CLI's.
 pub fn parse_param(name: &str) -> Result<SweepParam, String> {
-    match name {
-        "fclock" => Ok(SweepParam::Fclock),
-        "alpha-write" => Ok(SweepParam::AlphaWrite),
-        "alpha-read" => Ok(SweepParam::AlphaRead),
-        "alpha" => Ok(SweepParam::AlphaBoth),
-        "throughput-proc" => Ok(SweepParam::ThroughputProc),
-        "ops-per-element" => Ok(SweepParam::OpsPerElement),
-        "elements-in" => Ok(SweepParam::ElementsIn),
-        "iterations" => Ok(SweepParam::Iterations),
-        other => Err(format!("unknown sweep parameter '{other}'")),
-    }
+    PARAMS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, p)| p)
+        .ok_or_else(|| format!("unknown sweep parameter '{name}'"))
+}
+
+/// The name [`parse_param`] accepts for `param`.
+fn param_name(param: SweepParam) -> &'static str {
+    PARAMS
+        .iter()
+        .find(|(_, p)| *p == param)
+        .map_or("?", |&(n, _)| n)
 }
 
 /// Parse a buffering-discipline name (`single` | `double`).
@@ -388,8 +394,7 @@ pub fn uncertainty_report(
 }
 
 /// `rat explore`: throughput-gate the cartesian corner space around a base
-/// worksheet. `None` axes default to the base worksheet's own value
-/// (clock, throughput) or to both disciplines (buffering).
+/// worksheet. `None` axes take the [`DesignSpace::around`] defaults.
 pub fn explore_report(
     input: &RatInput,
     min_speedup: f64,
@@ -397,12 +402,7 @@ pub fn explore_report(
     throughput_procs: Option<Vec<f64>>,
     bufferings: Option<Vec<Buffering>>,
 ) -> Result<String, RatError> {
-    let space = DesignSpace {
-        fclocks: fclocks.unwrap_or_else(|| vec![input.comp.fclock.hz()]),
-        throughput_procs: throughput_procs.unwrap_or_else(|| vec![input.comp.throughput_proc]),
-        bufferings: bufferings.unwrap_or_else(|| vec![Buffering::Single, Buffering::Double]),
-        base: input.clone(),
-    };
+    let space = DesignSpace::around(input.clone(), fclocks, throughput_procs, bufferings);
     Ok(explore(&space, min_speedup)?.render())
 }
 
@@ -498,28 +498,10 @@ pub fn simulate_report(app: &str, mhz: f64, cache: Option<&SimCache>) -> Result<
     let wrap = |source: RatError| {
         ModeError::with_context(format!("simulating {app} at {mhz:.1} MHz"), source)
     };
-    // The simulator's clock is picosecond-resolution; past 1 THz a cycle
-    // rounds to zero, so reject anything outside the physically plausible
-    // band up front instead of letting the simulator panic.
-    if !(mhz.is_finite() && mhz > 0.0 && mhz <= 1.0e6) {
-        return Err(wrap(RatError::simulation(format!(
-            "clock must be a positive frequency in (0, 1e6] MHz, got {mhz}"
-        ))));
-    }
-    let fclock_hz = mhz * 1.0e6;
-    let summary = match app {
-        "pdf1d" => rat_apps::pdf::pdf1d::design().simulate_summary(fclock_hz, cache),
-        "pdf2d" => rat_apps::pdf::pdf2d::design().simulate_summary(fclock_hz, cache),
-        "md" => {
-            rat_apps::md::hw::MdDesign::paper_scale_analytic().simulate_summary(fclock_hz, cache)
-        }
-        "sort" => rat_apps::sort::rat::design().simulate_summary(fclock_hz, cache),
-        other => {
-            return Err(wrap(RatError::simulation(format!(
-                "unknown case study '{other}' (pdf1d|pdf2d|md|sort)"
-            ))))
-        }
-    };
+    let summary = CaseStudy::find(app)
+        .map_err(|e| wrap(RatError::simulation(e)))?
+        .simulate_summary(mhz, cache)
+        .map_err(wrap)?;
     Ok(format!(
         "simulated {app} at {mhz:.1} MHz over {} iterations:\n\
          \x20 total (t_RC)   {}\n\
@@ -537,10 +519,10 @@ pub fn simulate_report(app: &str, mhz: f64, cache: Option<&SimCache>) -> Result<
 }
 
 // ---------------------------------------------------------------------------
-// Request parsing and dispatch for the HTTP surface.
+// The one request type, its value rules, the JSON parser, and the dispatcher.
 // ---------------------------------------------------------------------------
 
-/// A parsed analysis request, ready to run.
+/// A parsed analysis request, built from a JSON body or from CLI argv.
 #[derive(Debug, Clone)]
 pub enum ApiRequest {
     /// `POST /v1/solve`
@@ -567,24 +549,17 @@ pub enum ApiRequest {
         input: RatInput,
         /// Uncertain-parameter ranges.
         ranges: Vec<ParamRange>,
-        /// Monte-Carlo sample count.
-        samples: usize,
-        /// Explicit RNG seed; `None` uses the engine's root seed (the CLI
-        /// default), so an unseeded request matches the CLI byte-for-byte.
+        /// Monte-Carlo sample count; `None` uses [`DEFAULT_MC_SAMPLES`].
+        samples: Option<usize>,
+        /// Explicit RNG seed; `None` uses the engine's root seed.
         seed: Option<u64>,
     },
     /// `POST /v1/explore`
     Explore {
-        /// The validated worksheet (the base design).
-        input: RatInput,
+        /// The corner space, its base design the validated worksheet.
+        space: DesignSpace,
         /// Pass/fail speedup threshold.
         min_speedup: f64,
-        /// Clock axis (Hz); defaults to the base worksheet's clock.
-        fclocks: Option<Vec<f64>>,
-        /// Parallelism axis; defaults to the base worksheet's value.
-        throughput_procs: Option<Vec<f64>>,
-        /// Buffering axis; defaults to both disciplines.
-        bufferings: Option<Vec<Buffering>>,
     },
     /// `POST /v1/optimize`
     Optimize {
@@ -620,6 +595,164 @@ impl ApiRequest {
             ApiRequest::Simulate { .. } => "simulate",
         }
     }
+
+    /// The request's worksheet; `None` for `simulate`, which has none.
+    fn input(&self) -> Option<&RatInput> {
+        match self {
+            ApiRequest::Solve { input, .. }
+            | ApiRequest::Sweep { input, .. }
+            | ApiRequest::Uncertainty { input, .. }
+            | ApiRequest::Optimize { input, .. }
+            | ApiRequest::Sensitivity { input } => Some(input),
+            ApiRequest::Explore { space, .. } => Some(&space.base),
+            ApiRequest::Simulate { .. } => None,
+        }
+    }
+
+    /// Check every rule about a field's value: non-empty lists, finite and
+    /// ordered ranges inside the parameter's domain, the `MAX_*` caps, the
+    /// `samples`, `generations` and `population` bounds, the evaluation
+    /// budget, and `precision_bits`. Both front ends call this once their
+    /// own syntax has parsed, so argv and JSON accept exactly the same
+    /// values. A failure is an [`RatError::InvalidQuantity`] naming the
+    /// field: CLI exit 3, HTTP 400.
+    pub fn check(&self) -> Result<(), ApiError> {
+        let Some(input) = self.input() else {
+            return Ok(());
+        };
+        self.value_rules().map_err(|source| {
+            ApiError::Mode(ModeError::with_context(
+                format!(
+                    "checking {} request for worksheet '{}'",
+                    self.mode(),
+                    input.name
+                ),
+                source,
+            ))
+        })
+    }
+
+    fn value_rules(&self) -> Result<(), RatError> {
+        match self {
+            ApiRequest::Sweep { values, .. } => {
+                non_empty("values", values.len())?;
+                at_most(
+                    "values",
+                    values.len() as u64,
+                    MAX_SWEEP_VALUES as u64,
+                    "values",
+                )
+            }
+            ApiRequest::Uncertainty {
+                input,
+                ranges,
+                samples,
+                ..
+            } => {
+                non_empty("ranges", ranges.len())?;
+                for r in ranges {
+                    check_range(input, r)?;
+                }
+                match *samples {
+                    Some(n) => within("samples", n as u64, MAX_MC_SAMPLES as u64),
+                    None => Ok(()),
+                }
+            }
+            ApiRequest::Explore { space, .. } => {
+                non_empty("fclocks", space.fclocks.len())?;
+                non_empty("throughput_procs", space.throughput_procs.len())?;
+                non_empty("bufferings", space.bufferings.len())?;
+                at_most(
+                    "fclocks x throughput_procs x bufferings",
+                    space.size() as u64,
+                    MAX_EXPLORE_CORNERS as u64,
+                    "corners",
+                )
+            }
+            ApiRequest::Optimize { spec, .. } => {
+                for (field, len) in [
+                    ("bufferings", spec.bufferings.as_ref().map(Vec::len)),
+                    ("devices", spec.devices.as_ref().map(Vec::len)),
+                    ("precision_bits", spec.precision_bits.as_ref().map(Vec::len)),
+                ] {
+                    len.map_or(Ok(()), |n| non_empty(field, n))?;
+                }
+                let defaults = OptimizeConfig::default();
+                let generations = u64::from(spec.generations.unwrap_or(defaults.generations));
+                let population = spec.population.unwrap_or(defaults.population) as u64;
+                within("generations", generations, MAX_OPTIMIZE_EVALS)?;
+                within("population", population, MAX_OPTIMIZE_EVALS)?;
+                at_most(
+                    "generations x population",
+                    generations.saturating_mul(population),
+                    MAX_OPTIMIZE_EVALS,
+                    "evaluations",
+                )?;
+                for &bits in spec.precision_bits.iter().flatten() {
+                    within("precision_bits", bits.into(), MAX_TOTAL_BITS.into())?;
+                }
+                Ok(())
+            }
+            ApiRequest::Solve { .. }
+            | ApiRequest::Sensitivity { .. }
+            | ApiRequest::Simulate { .. } => Ok(()),
+        }
+    }
+}
+
+fn non_empty(field: &str, len: usize) -> Result<(), RatError> {
+    if len == 0 {
+        return Err(RatError::quantity(field, "needs at least one value"));
+    }
+    Ok(())
+}
+
+fn within(field: &str, n: u64, max: u64) -> Result<(), RatError> {
+    if !(1..=max).contains(&n) {
+        return Err(RatError::quantity(
+            field,
+            format!("must be in 1..={max}, got {n}"),
+        ));
+    }
+    Ok(())
+}
+
+fn at_most(field: &str, n: u64, max: u64, what: &str) -> Result<(), RatError> {
+    if n > max {
+        return Err(RatError::quantity(
+            field,
+            format!("{n} {what}; at most {max}"),
+        ));
+    }
+    Ok(())
+}
+
+/// An uncertainty range must be finite and ordered, and both endpoints must
+/// pass the same worksheet validation a sweep applies to each value. The
+/// domains are intervals, so every sample between valid endpoints is valid.
+fn check_range(input: &RatInput, r: &ParamRange) -> Result<(), RatError> {
+    let field = format!("ranges.{}", param_name(r.param));
+    if !(r.lo.is_finite() && r.hi.is_finite()) {
+        return Err(RatError::quantity(
+            field,
+            format!("bounds must be finite, got [{}, {}]", r.lo, r.hi),
+        ));
+    }
+    if r.lo > r.hi {
+        return Err(RatError::quantity(
+            field,
+            format!(
+                "empty range: lower bound {} exceeds upper bound {}",
+                r.lo, r.hi
+            ),
+        ));
+    }
+    for v in [r.lo, r.hi] {
+        if let Err(e) = r.param.apply(input, v).validate() {
+            return Err(RatError::quantity(field, format!("endpoint {v}: {e}")));
+        }
+    }
+    Ok(())
 }
 
 /// All mode route suffixes under `/v1/`, in documentation order.
@@ -633,70 +766,69 @@ pub const MODES: [&str; 7] = [
     "simulate",
 ];
 
+fn bad_body(cause: impl Into<String>) -> ApiError {
+    ApiError::bad_request("reading request body", cause)
+}
+
 fn require<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
     doc.get(key)
-        .ok_or_else(|| ApiError::bad_request("reading request body", format!("missing '{key}'")))
+        .ok_or_else(|| bad_body(format!("missing '{key}'")))
 }
 
 fn require_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, ApiError> {
-    require(doc, key)?.as_str().ok_or_else(|| {
-        ApiError::bad_request("reading request body", format!("'{key}' must be a string"))
-    })
+    require(doc, key)?
+        .as_str()
+        .ok_or_else(|| bad_body(format!("'{key}' must be a string")))
 }
 
 fn require_f64(doc: &Json, key: &str) -> Result<f64, ApiError> {
-    require(doc, key)?.as_f64().ok_or_else(|| {
-        ApiError::bad_request("reading request body", format!("'{key}' must be a number"))
-    })
+    require(doc, key)?
+        .as_f64()
+        .ok_or_else(|| bad_body(format!("'{key}' must be a number")))
 }
 
 fn optional_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-            ApiError::bad_request("reading request body", format!("'{key}' must be a number"))
-        }),
+        Some(v) => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| bad_body(format!("'{key}' must be a number"))),
     }
 }
 
-/// The optional `seed` field: a non-negative integer below 2^53, the range
+/// A JSON number that must be a non-negative integer below 2^53, the range
 /// in which every integer is an exact JSON number.
-fn optional_seed(doc: &Json) -> Result<Option<u64>, ApiError> {
+fn uint(v: f64, key: &str) -> Result<u64, ApiError> {
     const LIMIT: f64 = (1u64 << 53) as f64;
-    match optional_f64(doc, "seed")? {
-        None => Ok(None),
-        Some(s) if s.fract() == 0.0 && (0.0..LIMIT).contains(&s) => Ok(Some(s as u64)),
-        Some(s) => Err(ApiError::bad_request(
-            "reading request body",
-            format!("'seed' must be a non-negative integer below 2^53, got {s}"),
-        )),
+    if v.fract() == 0.0 && (0.0..LIMIT).contains(&v) {
+        Ok(v as u64)
+    } else {
+        Err(bad_body(format!(
+            "'{key}' must be a non-negative integer below 2^53, got {v}"
+        )))
     }
+}
+
+fn optional_uint(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
+    optional_f64(doc, key)?.map(|v| uint(v, key)).transpose()
 }
 
 fn optional_bool(doc: &Json, key: &str) -> Result<bool, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(false),
         Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(ApiError::bad_request(
-            "reading request body",
-            format!("'{key}' must be a boolean"),
-        )),
+        Some(_) => Err(bad_body(format!("'{key}' must be a boolean"))),
     }
 }
 
 fn f64_list(v: &Json, key: &str) -> Result<Vec<f64>, ApiError> {
     v.as_array()
-        .ok_or_else(|| {
-            ApiError::bad_request("reading request body", format!("'{key}' must be an array"))
-        })?
+        .ok_or_else(|| bad_body(format!("'{key}' must be an array")))?
         .iter()
         .map(|x| {
-            x.as_f64().ok_or_else(|| {
-                ApiError::bad_request(
-                    "reading request body",
-                    format!("'{key}' must contain only numbers"),
-                )
-            })
+            x.as_f64()
+                .ok_or_else(|| bad_body(format!("'{key}' must contain only numbers")))
         })
         .collect()
 }
@@ -709,241 +841,140 @@ fn optional_f64_list(doc: &Json, key: &str) -> Result<Option<Vec<f64>>, ApiError
 }
 
 fn optional_str_list(doc: &Json, key: &str) -> Result<Option<Vec<String>>, ApiError> {
+    let not_strings = || bad_body(format!("'{key}' must be an array of strings"));
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let arr = v.as_array().ok_or_else(|| {
-                ApiError::bad_request(
-                    "reading request body",
-                    format!("'{key}' must be an array of strings"),
-                )
-            })?;
-            let mut out = Vec::with_capacity(arr.len());
-            for s in arr {
-                out.push(
-                    s.as_str()
-                        .ok_or_else(|| {
-                            ApiError::bad_request(
-                                "reading request body",
-                                format!("'{key}' must be an array of strings"),
-                            )
-                        })?
-                        .to_string(),
-                );
-            }
-            Ok(Some(out))
-        }
+        Some(v) => v
+            .as_array()
+            .ok_or_else(not_strings)?
+            .iter()
+            .map(|s| s.as_str().map(str::to_string).ok_or_else(not_strings))
+            .collect::<Result<_, _>>()
+            .map(Some),
     }
 }
 
 fn parse_buffering_list(doc: &Json) -> Result<Option<Vec<Buffering>>, ApiError> {
-    match optional_str_list(doc, "bufferings")? {
-        None => Ok(None),
-        Some(names) => {
-            let mut out = Vec::with_capacity(names.len());
-            for n in &names {
-                out.push(
-                    parse_buffering(n)
-                        .map_err(|e| ApiError::bad_request("reading request body", e))?,
-                );
-            }
-            Ok(Some(out))
-        }
-    }
+    optional_str_list(doc, "bufferings")?
+        .map(|names| {
+            names
+                .iter()
+                .map(|n| parse_buffering(n).map_err(bad_body))
+                .collect()
+        })
+        .transpose()
 }
 
-/// Parse the JSON body of `POST /v1/<mode>` into a runnable request.
+/// Parse the JSON body of `POST /v1/<mode>` into a runnable request, then
+/// apply [`ApiRequest::check`].
 pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError> {
     let doc =
         json::parse(body).map_err(|e| ApiError::bad_request("parsing request body as JSON", e))?;
     if doc.as_object().is_none() {
-        return Err(ApiError::bad_request(
-            "reading request body",
-            "top-level value must be an object",
-        ));
+        return Err(bad_body("top-level value must be an object"));
     }
-    match mode {
-        "solve" => {
-            let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let target = require_f64(&doc, "target")?;
-            let strict = optional_bool(&doc, "strict")?;
-            Ok(ApiRequest::Solve {
-                input,
-                target,
-                strict,
-            })
-        }
-        "sweep" => {
-            let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let param = parse_param(require_str(&doc, "param")?)
-                .map_err(|e| ApiError::bad_request("reading request body", e))?;
-            let values = f64_list(require(&doc, "values")?, "values")?;
-            if values.is_empty() {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    "sweep needs at least one value",
-                ));
-            }
-            if values.len() > MAX_SWEEP_VALUES {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    format!("at most {MAX_SWEEP_VALUES} sweep values per request"),
-                ));
-            }
-            Ok(ApiRequest::Sweep {
-                input,
-                param,
-                values,
-            })
-        }
+    let worksheet = || parse_worksheet(require_str(&doc, "worksheet_toml")?);
+    let req = match mode {
+        "solve" => ApiRequest::Solve {
+            input: worksheet()?,
+            target: require_f64(&doc, "target")?,
+            strict: optional_bool(&doc, "strict")?,
+        },
+        "sweep" => ApiRequest::Sweep {
+            input: worksheet()?,
+            param: parse_param(require_str(&doc, "param")?).map_err(bad_body)?,
+            values: f64_list(require(&doc, "values")?, "values")?,
+        },
         "uncertainty" => {
-            let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let ranges_json = require(&doc, "ranges")?.as_array().ok_or_else(|| {
-                ApiError::bad_request("reading request body", "'ranges' must be an array")
-            })?;
-            let mut ranges = Vec::with_capacity(ranges_json.len());
-            for r in ranges_json {
-                let param = parse_param(require_str(r, "param")?)
-                    .map_err(|e| ApiError::bad_request("reading request body", e))?;
-                let lo = require_f64(r, "lo")?;
-                let hi = require_f64(r, "hi")?;
-                ranges.push(ParamRange::new(param, lo, hi));
-            }
-            if ranges.is_empty() {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    "uncertainty needs at least one {param, lo, hi} range",
-                ));
-            }
-            let samples = match optional_f64(&doc, "samples")? {
-                None => DEFAULT_MC_SAMPLES,
-                Some(s) if s.fract() == 0.0 && s >= 1.0 && s <= MAX_MC_SAMPLES as f64 => s as usize,
-                Some(s) => {
-                    return Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'samples' must be an integer in 1..={MAX_MC_SAMPLES}, got {s}"),
-                    ))
-                }
-            };
-            let seed = optional_seed(&doc)?;
-            Ok(ApiRequest::Uncertainty {
+            let input = worksheet()?;
+            let ranges = require(&doc, "ranges")?
+                .as_array()
+                .ok_or_else(|| bad_body("'ranges' must be an array"))?
+                .iter()
+                .map(|r| {
+                    Ok(ParamRange {
+                        param: parse_param(require_str(r, "param")?).map_err(bad_body)?,
+                        lo: require_f64(r, "lo")?,
+                        hi: require_f64(r, "hi")?,
+                    })
+                })
+                .collect::<Result<_, ApiError>>()?;
+            ApiRequest::Uncertainty {
                 input,
                 ranges,
-                samples,
-                seed,
-            })
+                samples: optional_uint(&doc, "samples")?.map(|n| n as usize),
+                seed: optional_uint(&doc, "seed")?,
+            }
         }
         "explore" => {
-            let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
+            let input = worksheet()?;
             let min_speedup = require_f64(&doc, "min_speedup")?;
-            let fclocks = optional_f64_list(&doc, "fclocks")?;
-            let throughput_procs = optional_f64_list(&doc, "throughput_procs")?;
-            let bufferings = parse_buffering_list(&doc)?;
-            let corners = fclocks.as_ref().map_or(1, Vec::len)
-                * throughput_procs.as_ref().map_or(1, Vec::len)
-                * bufferings.as_ref().map_or(2, Vec::len);
-            if corners > MAX_EXPLORE_CORNERS {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    format!("design space has {corners} corners; at most {MAX_EXPLORE_CORNERS}"),
-                ));
-            }
-            Ok(ApiRequest::Explore {
-                input,
+            ApiRequest::Explore {
+                space: DesignSpace::around(
+                    input,
+                    optional_f64_list(&doc, "fclocks")?,
+                    optional_f64_list(&doc, "throughput_procs")?,
+                    parse_buffering_list(&doc)?,
+                ),
                 min_speedup,
-                fclocks,
-                throughput_procs,
-                bufferings,
-            })
+            }
         }
         "optimize" => {
-            let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let seed = optional_seed(&doc)?;
-            let small_int = |key: &str, max: f64| -> Result<Option<f64>, ApiError> {
-                match optional_f64(&doc, key)? {
-                    None => Ok(None),
-                    Some(v) if v.fract() == 0.0 && v >= 1.0 && v <= max => Ok(Some(v)),
-                    Some(v) => Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'{key}' must be an integer in 1..={max}, got {v}"),
-                    )),
-                }
-            };
-            let generations = small_int("generations", 1.0e6)?.map(|v| v as u32);
-            let population =
-                small_int("population", MAX_OPTIMIZE_EVALS as f64)?.map(|v| v as usize);
-            let defaults = OptimizeConfig::default();
-            let evals = u64::from(generations.unwrap_or(defaults.generations))
-                .saturating_mul(population.unwrap_or(defaults.population) as u64);
-            if evals > MAX_OPTIMIZE_EVALS {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    format!(
-                        "generations x population is {evals} evaluations; \
-                         at most {MAX_OPTIMIZE_EVALS}"
-                    ),
-                ));
-            }
+            let input = worksheet()?;
             let pair = |key: &str| -> Result<Option<(f64, f64)>, ApiError> {
                 match optional_f64_list(&doc, key)? {
                     None => Ok(None),
                     Some(v) if v.len() == 2 => Ok(Some((v[0], v[1]))),
-                    Some(v) => Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'{key}' must be a [lo, hi] pair, got {} values", v.len()),
-                    )),
+                    Some(v) => Err(bad_body(format!(
+                        "'{key}' must be a [lo, hi] pair, got {} values",
+                        v.len()
+                    ))),
                 }
             };
-            let fclock_range = pair("fclock_range")?;
-            let throughput_range = pair("throughput_range")?;
-            let bufferings = parse_buffering_list(&doc)?;
-            let devices = optional_str_list(&doc, "devices")?;
-            let precision_bits = match optional_f64_list(&doc, "precision_bits")? {
-                None => None,
-                Some(v) => {
-                    let mut bits = Vec::with_capacity(v.len());
-                    for b in v {
-                        if b.fract() != 0.0 || !(1.0..=63.0).contains(&b) {
-                            return Err(ApiError::bad_request(
-                                "reading request body",
-                                format!("'precision_bits' must be integers in 1..=63, got {b}"),
-                            ));
-                        }
-                        bits.push(b as u32);
-                    }
-                    Some(bits)
-                }
-            };
-            Ok(ApiRequest::Optimize {
+            let precision_bits = optional_f64_list(&doc, "precision_bits")?
+                .map(|bits| {
+                    bits.into_iter()
+                        .map(|b| uint(b, "precision_bits").map(saturate_u32))
+                        .collect()
+                })
+                .transpose()?;
+            ApiRequest::Optimize {
                 input,
                 spec: OptimizeSpec {
-                    seed,
-                    generations,
-                    population,
-                    fclock_range,
-                    throughput_range,
-                    bufferings,
-                    devices,
+                    seed: optional_uint(&doc, "seed")?,
+                    generations: optional_uint(&doc, "generations")?.map(saturate_u32),
+                    population: optional_uint(&doc, "population")?.map(|n| n as usize),
+                    fclock_range: pair("fclock_range")?,
+                    throughput_range: pair("throughput_range")?,
+                    bufferings: parse_buffering_list(&doc)?,
+                    devices: optional_str_list(&doc, "devices")?,
                     precision_bits,
                 },
-            })
+            }
         }
-        "sensitivity" => {
-            let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            Ok(ApiRequest::Sensitivity { input })
-        }
-        "simulate" => {
-            let app = require_str(&doc, "app")?.to_string();
-            let mhz = require_f64(&doc, "mhz")?;
-            Ok(ApiRequest::Simulate { app, mhz })
-        }
-        other => Err(ApiError::UnknownRoute(format!("/v1/{other}"))),
-    }
+        "sensitivity" => ApiRequest::Sensitivity {
+            input: worksheet()?,
+        },
+        "simulate" => ApiRequest::Simulate {
+            app: require_str(&doc, "app")?.to_string(),
+            mhz: require_f64(&doc, "mhz")?,
+        },
+        other => return Err(ApiError::UnknownRoute(format!("/v1/{other}"))),
+    };
+    req.check()?;
+    Ok(req)
 }
 
-/// Run a parsed request on `engine`, memoizing simulations through `cache`.
-/// The success value's `report` is byte-identical to the CLI's stdout for
-/// the same inputs.
+/// A JSON integer too wide for `u32` saturates, so the value check (not a
+/// type error) names it.
+fn saturate_u32(n: u64) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
+/// Run a request on `engine`, memoizing simulations through `cache`: the one
+/// dispatcher for the CLI and the server. Unset seeds and sample counts
+/// resolve here. The success value's `report` is byte-identical to the
+/// CLI's stdout for the same inputs.
 pub fn handle(
     engine: &Engine,
     req: &ApiRequest,
@@ -978,24 +1009,17 @@ pub fn handle(
             ranges,
             samples,
             seed,
-        } => {
-            let seed = seed.unwrap_or(engine.config().root_seed);
-            uncertainty_report(engine, input, ranges, *samples, seed).map_err(|e| wrap(input, e))?
-        }
-        ApiRequest::Explore {
+        } => uncertainty_report(
+            engine,
             input,
-            min_speedup,
-            fclocks,
-            throughput_procs,
-            bufferings,
-        } => explore_report(
-            input,
-            *min_speedup,
-            fclocks.clone(),
-            throughput_procs.clone(),
-            bufferings.clone(),
+            ranges,
+            samples.unwrap_or(DEFAULT_MC_SAMPLES),
+            seed.unwrap_or(engine.config().root_seed),
         )
         .map_err(|e| wrap(input, e))?,
+        ApiRequest::Explore { space, min_speedup } => explore(space, *min_speedup)
+            .map_err(|e| wrap(&space.base, e))?
+            .render(),
         ApiRequest::Optimize { input, spec } => {
             optimize_report(engine, input, spec).map_err(|e| wrap(input, e))?
         }
@@ -1190,6 +1214,114 @@ mod tests {
         assert_eq!(http_status(&err.source), 500);
         let err = simulate_report("warp", 100.0, Some(&cache)).unwrap_err();
         assert!(err.source.to_string().contains("unknown case study"));
+    }
+
+    /// The value error `parse_mode_request` returns for `body`: a 400
+    /// `InvalidQuantity`, whose rendered cause is returned.
+    fn value_error(mode: &str, body: &str) -> String {
+        match parse_mode_request(mode, body) {
+            Err(ApiError::Mode(ModeError {
+                context: Some(context),
+                source: source @ RatError::InvalidQuantity { .. },
+            })) => {
+                assert!(
+                    context.starts_with(&format!("checking {mode} request")),
+                    "{context}"
+                );
+                source.to_string()
+            }
+            other => panic!("{mode}: expected a value error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn uncertainty_ranges_are_checked_not_asserted() {
+        let ws = escape_json(&ws_toml());
+        let body = |param: &str, lo: &str, hi: &str| {
+            format!(
+                "{{\"worksheet_toml\": \"{ws}\", \
+                 \"ranges\": [{{\"param\": \"{param}\", \"lo\": {lo}, \"hi\": {hi}}}]}}"
+            )
+        };
+        let inverted = value_error("uncertainty", &body("fclock", "150e6", "75e6"));
+        assert!(inverted.contains("`ranges.fclock`") && inverted.contains("empty range"));
+        // A negative clock is what `/v1/sweep` rejects for each value.
+        let domain = value_error("uncertainty", &body("fclock", "-1", "150e6"));
+        assert!(
+            domain.contains("`ranges.fclock`") && domain.contains("comp.fclock"),
+            "{domain}"
+        );
+        let alpha = value_error("uncertainty", &body("alpha-write", "0.5", "1.5"));
+        assert!(
+            alpha.contains("`ranges.alpha-write`") && alpha.contains("(0, 1]"),
+            "{alpha}"
+        );
+        assert!(parse_mode_request("uncertainty", &body("fclock", "75e6", "75e6")).is_ok());
+    }
+
+    #[test]
+    fn value_rules_name_their_field() {
+        let ws = escape_json(&ws_toml());
+        for (mode, extra, field) in [
+            (
+                "sweep",
+                ", \"param\": \"fclock\", \"values\": []",
+                "`values`",
+            ),
+            ("uncertainty", ", \"ranges\": []", "`ranges`"),
+            (
+                "uncertainty",
+                ", \"ranges\": [{\"param\": \"fclock\", \"lo\": 1, \"hi\": 2}], \"samples\": 0",
+                "`samples`",
+            ),
+            (
+                "explore",
+                ", \"min_speedup\": 5, \"bufferings\": []",
+                "`bufferings`",
+            ),
+            (
+                "explore",
+                ", \"min_speedup\": 5, \"fclocks\": []",
+                "`fclocks`",
+            ),
+            ("optimize", ", \"population\": 0", "`population`"),
+            ("optimize", ", \"generations\": 0", "`generations`"),
+            (
+                "optimize",
+                ", \"generations\": 2000",
+                "`generations x population`",
+            ),
+            ("optimize", ", \"precision_bits\": [64]", "`precision_bits`"),
+            ("optimize", ", \"devices\": []", "`devices`"),
+        ] {
+            let body = format!("{{\"worksheet_toml\": \"{ws}\"{extra}}}");
+            let cause = value_error(mode, &body);
+            assert!(cause.contains(field), "{mode} {extra}: {cause}");
+        }
+    }
+
+    #[test]
+    fn explore_corner_cap_counts_the_resolved_space() {
+        let ws = escape_json(&ws_toml());
+        let clocks = vec!["1e8"; 1000].join(", ");
+        // 1000 clocks x 1000 procs x both default bufferings = 2e6 corners.
+        let body = format!(
+            "{{\"worksheet_toml\": \"{ws}\", \"min_speedup\": 5, \
+             \"fclocks\": [{clocks}], \"throughput_procs\": [{}]}}",
+            vec!["20"; 1000].join(", ")
+        );
+        let cause = value_error("explore", &body);
+        assert!(cause.contains("2000000 corners"), "{cause}");
+        // Omitted axes resolve to the same space as their explicit defaults.
+        let input = rat_apps::pdf::pdf1d::rat_input(150.0e6);
+        let omitted = format!("{{\"worksheet_toml\": \"{ws}\", \"min_speedup\": 5}}");
+        match parse_mode_request("explore", &omitted).unwrap() {
+            ApiRequest::Explore { space, .. } => {
+                assert_eq!(space, DesignSpace::around(input, None, None, None));
+                assert_eq!(space.size(), 2);
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
     }
 
     #[test]

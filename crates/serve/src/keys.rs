@@ -8,8 +8,8 @@
 //!   request skips JSON and TOML decoding entirely — the warm fast path.
 //! - [`request_key`]: digest of the *canonicalized* parsed request plus the
 //!   engine knobs that feed determinism (root seed, jobs). Two bodies that
-//!   differ only in JSON whitespace, key order, or an explicit seed equal to
-//!   the default all collapse onto one entry.
+//!   differ only in JSON whitespace, key order, or an explicit seed, sample
+//!   count or explore axis equal to its default all collapse onto one entry.
 //!
 //! Every field is framed (length-prefixed strings, tagged options, counted
 //! lists) exactly as `fpga-sim`'s digest does, so no two field sequences can
@@ -20,7 +20,7 @@ use rat_core::params::{Buffering, RatInput};
 use rat_core::sweep::SweepParam;
 use rat_core::uncertainty::ParamRange;
 
-use crate::api::{ApiRequest, OptimizeSpec};
+use crate::api::{ApiRequest, OptimizeSpec, DEFAULT_MC_SAMPLES};
 
 /// Key for the raw fast tier: route + exact body bytes. Any byte difference
 /// is a different key; canonicalization is the parsed tier's job.
@@ -39,20 +39,17 @@ fn write_f64_list(d: &mut SpecDigest, vs: &[f64]) {
     }
 }
 
-fn write_opt_f64_list(d: &mut SpecDigest, vs: Option<&Vec<f64>>) {
-    match vs {
-        None => d.write_tag(0),
-        Some(vs) => {
-            d.write_tag(1);
-            write_f64_list(d, vs);
-        }
-    }
-}
-
 fn buffering_tag(b: Buffering) -> u8 {
     match b {
         Buffering::Single => 0,
         Buffering::Double => 1,
+    }
+}
+
+fn write_bufferings(d: &mut SpecDigest, bs: &[Buffering]) {
+    d.write_u64(bs.len() as u64);
+    for &b in bs {
+        d.write_tag(buffering_tag(b));
     }
 }
 
@@ -61,10 +58,7 @@ fn write_opt_bufferings(d: &mut SpecDigest, bs: Option<&Vec<Buffering>>) {
         None => d.write_tag(0),
         Some(bs) => {
             d.write_tag(1);
-            d.write_u64(bs.len() as u64);
-            for &b in bs {
-                d.write_tag(buffering_tag(b));
-            }
+            write_bufferings(d, bs);
         }
     }
 }
@@ -196,22 +190,16 @@ pub fn request_key(req: &ApiRequest, root_seed: u64, jobs: usize) -> u128 {
             d.write_tag(2);
             write_input(&mut d, input);
             write_ranges(&mut d, ranges);
-            d.write_u64(*samples as u64);
+            d.write_u64(samples.unwrap_or(DEFAULT_MC_SAMPLES) as u64);
             d.write_u64(seed.unwrap_or(root_seed));
         }
-        ApiRequest::Explore {
-            input,
-            min_speedup,
-            fclocks,
-            throughput_procs,
-            bufferings,
-        } => {
+        ApiRequest::Explore { space, min_speedup } => {
             d.write_tag(3);
-            write_input(&mut d, input);
+            write_input(&mut d, &space.base);
             d.write_f64(*min_speedup);
-            write_opt_f64_list(&mut d, fclocks.as_ref());
-            write_opt_f64_list(&mut d, throughput_procs.as_ref());
-            write_opt_bufferings(&mut d, bufferings.as_ref());
+            write_f64_list(&mut d, &space.fclocks);
+            write_f64_list(&mut d, &space.throughput_procs);
+            write_bufferings(&mut d, &space.bufferings);
         }
         ApiRequest::Optimize { input, spec } => {
             d.write_tag(4);
@@ -264,13 +252,13 @@ mod tests {
         let unseeded = ApiRequest::Uncertainty {
             input: input.clone(),
             ranges: ranges.clone(),
-            samples: 100,
+            samples: Some(100),
             seed: None,
         };
         let seeded = ApiRequest::Uncertainty {
             input,
             ranges,
-            samples: 100,
+            samples: Some(100),
             seed: Some(42),
         };
         assert_eq!(request_key(&unseeded, 42, 1), request_key(&seeded, 42, 1));

@@ -2,8 +2,8 @@
 //!
 //! Every CLI invocation is a cold process: it re-parses TOML, rebuilds the
 //! platform catalog, and starts with an empty simulator cache. This crate
-//! keeps all of that warm in a long-running daemon and serves the five
-//! analysis modes (`solve`, `sweep`, `uncertainty`, `explore`,
+//! keeps all of that warm in a long-running daemon and serves the six
+//! analysis modes (`solve`, `sweep`, `uncertainty`, `explore`, `optimize`,
 //! `sensitivity`) plus cached case-study simulation over a deliberately
 //! tiny, hand-rolled HTTP/1.1 + JSON protocol on `std::net::TcpListener` —
 //! no framework, no async runtime, no new dependencies.
@@ -15,11 +15,13 @@
 //!   [`http::Connection`] that loops requests per socket (keep-alive by
 //!   default under HTTP/1.1, honoring `Connection:` overrides) and carries
 //!   pipelined bytes between them.
-//! * [`api`] — the analysis surface: request JSON in, the **same rendered
-//!   report text the CLI prints** out, wrapped in JSON. Both the CLI and the
-//!   server call the same `*_report` functions here, which is what makes the
-//!   differential parity suite's byte-identity contract hold by
-//!   construction rather than by luck. The [`RatError`] taxonomy maps onto
+//! * [`api`] — the analysis surface: one request type, [`api::ApiRequest`],
+//!   which the server parses from JSON and the CLI from argv; one value
+//!   check, [`api::ApiRequest::check`], both parsers call; and one
+//!   dispatcher, [`api::handle`], that renders the **same report text the
+//!   CLI prints**. That single path is what makes the differential parity
+//!   suite's byte-identity contract hold by construction rather than by
+//!   luck. The [`RatError`] taxonomy maps onto
 //!   HTTP status codes exactly the way it maps onto CLI exit codes; see
 //!   [`api::http_status`].
 //! * [`keys`] — content-addressed digests of requests: a byte-exact raw

@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use common::{error_of, get, post, send_raw, split_response};
+use common::{error_of, get, metric_value, post, send_raw, split_response};
 use rat_serve::api::escape_json;
 use rat_serve::{ServeConfig, Server, ServerHandle};
 
@@ -234,6 +234,40 @@ fn optimize_spaces_map_to_the_documented_statuses() {
         summary.ok >= 5,
         "expected the still-alive probes: {summary:?}"
     );
+}
+
+/// Uncertainty ranges are checked values, not assertions: an inverted
+/// range or an endpoint outside the parameter's domain is a 400 naming the
+/// parameter, and no request handler panics on the way.
+#[test]
+fn bad_uncertainty_ranges_are_400s_not_panics() {
+    let handle = start();
+    let addr = handle.addr();
+    let ws = escape_json(&toml::to_string(&rat_apps::pdf::pdf1d::rat_input(150.0e6)).unwrap());
+    for (lo, hi) in [("150e6", "75e6"), ("-1", "150e6")] {
+        let (status, body) = post(
+            addr,
+            "/v1/uncertainty",
+            &format!(
+                "{{\"worksheet_toml\": \"{ws}\", \
+                 \"ranges\": [{{\"param\": \"fclock\", \"lo\": {lo}, \"hi\": {hi}}}]}}"
+            ),
+        );
+        assert_eq!(status, 400, "[{lo}, {hi}]: {body}");
+        let (_, causes) = error_of(&body);
+        assert!(
+            causes.iter().any(|c| c.contains("ranges.fclock")),
+            "the error should name the parameter: {body}"
+        );
+        still_alive(&handle, "bad uncertainty range");
+    }
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(
+        metric_value(&metrics, "serve_panics_total"),
+        Some(0),
+        "{metrics}"
+    );
+    handle.shutdown();
 }
 
 #[test]
