@@ -56,12 +56,15 @@ pub struct BenchRatio {
 
 /// Version of the JSON shape emitted by [`BenchReport::to_json`]. Bump when
 /// a field is renamed, retyped, or removed, or a required top-level block is
-/// added — adding scenarios, ratios, or the optional `serve` block is not a
-/// schema change. Checked-in `BENCH_<pr>.json` evidence files carry the
-/// version they were produced with and are validated against *that* shape.
+/// added — adding scenarios or ratios is not a schema change, and neither
+/// was dropping the optional `serve` block. Checked-in `BENCH_<pr>.json`
+/// evidence files carry the version they were produced with and are
+/// validated against *that* shape.
 ///
 /// - **v1**: `schema_version`, `quick`, `scenarios[]`, `ratios[]`, optional
-///   `serve{}`.
+///   `serve{}`. Only `BENCH_6.json` through `BENCH_10.json` carry a
+///   `serve{}` block: the in-process serve load generator that wrote it is
+///   gone, and serving is measured out of process by `ratperf`.
 /// - **v2**: adds the required `host{}` provenance block (logical cores,
 ///   avx2/fma feature flags, rustc version) so perf gates can scale their
 ///   floors to the machine that produced the evidence.
@@ -108,48 +111,6 @@ impl HostInfo {
     }
 }
 
-/// Server-side load-generation results, attached by `rat bench --serve`.
-/// Plain data here (the measuring code lives in `rat-serve`, which depends
-/// on nothing in this crate) so the report can serialize it without a
-/// dependency cycle. All latencies in microseconds.
-#[derive(Debug, Clone)]
-pub struct ServeBench {
-    /// Mixed-mode keep-alive requests completed against the warm server.
-    pub requests: u64,
-    /// Mixed-mode keep-alive throughput, requests per second.
-    pub rps: f64,
-    /// Close-per-request baseline requests (response cache disabled).
-    pub close_requests: u64,
-    /// Close-per-request baseline throughput, requests per second.
-    pub close_rps: f64,
-    /// `rps / close_rps` — the serving-path overhaul's throughput ratio,
-    /// gated ≥ 3x by the perf gate.
-    pub keepalive_vs_close_rps: f64,
-    /// Fraction of keep-alive requests that reused an existing connection.
-    pub reuse_ratio: f64,
-    /// Median `connect()` time across the load phases.
-    pub connect_p50_us: f64,
-    /// Mixed-mode median latency.
-    pub p50_us: f64,
-    /// Mixed-mode 99th-percentile latency.
-    pub p99_us: f64,
-    /// Mixed-mode 99.9th-percentile latency.
-    pub p999_us: f64,
-    /// p50 of one identical request repeated against the uncached server.
-    pub warm_uncached_p50_us: f64,
-    /// p50 of the same repeated request served from the response cache.
-    pub warm_cached_p50_us: f64,
-    /// `warm_uncached_p50_us / warm_cached_p50_us` — gated ≥ 5x.
-    pub warm_cached_speedup: f64,
-    /// p50 of a cached `solve` against the warm server.
-    pub warm_solve_p50_us: f64,
-    /// p50 of a cold `rat solve` process invocation.
-    pub cold_cli_solve_p50_us: f64,
-    /// Cold-CLI p50 over warm-server p50 — the resident-service speedup the
-    /// perf gate pins at ≥ 10x.
-    pub warm_vs_cold: f64,
-}
-
 /// The full benchmark outcome: every scenario plus the derived ratios.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -161,8 +122,6 @@ pub struct BenchReport {
     pub scenarios: Vec<BenchScenario>,
     /// Fast-vs-baseline ratios, in presentation order.
     pub ratios: Vec<BenchRatio>,
-    /// Server load-generation results when `--serve` ran, else `None`.
-    pub serve: Option<ServeBench>,
 }
 
 impl BenchReport {
@@ -191,30 +150,6 @@ impl BenchReport {
             "host: {} logical cores, avx2={}, fma={}, {}\n",
             self.host.logical_cores, self.host.avx2, self.host.fma, self.host.rustc
         ));
-        if let Some(s) = &self.serve {
-            out.push_str(&format!(
-                "serve: {} keep-alive requests at {:.0} req/s; p50 {:.0} us | p99 {:.0} us | p999 {:.0} us\n\
-                 serve_keepalive_vs_close_rps: {:.1}x ({:.0} req/s keep-alive vs {:.0} req/s close, reuse {:.3}, connect p50 {:.0} us)\n\
-                 serve_warm_cached_speedup: {:.1}x ({:.0} us uncached vs {:.0} us cached)\n\
-                 serve_warm_solve_vs_cold_cli: {:.1}x ({:.0} us warm vs {:.0} us cold)\n",
-                s.requests,
-                s.rps,
-                s.p50_us,
-                s.p99_us,
-                s.p999_us,
-                s.keepalive_vs_close_rps,
-                s.rps,
-                s.close_rps,
-                s.reuse_ratio,
-                s.connect_p50_us,
-                s.warm_cached_speedup,
-                s.warm_uncached_p50_us,
-                s.warm_cached_p50_us,
-                s.warm_vs_cold,
-                s.warm_solve_p50_us,
-                s.cold_cli_solve_p50_us,
-            ));
-        }
         out
     }
 
@@ -260,35 +195,6 @@ impl BenchReport {
             ));
         }
         out.push_str("  ]");
-        if let Some(s) = &self.serve {
-            out.push_str(&format!(
-                ",\n  \"serve\": {{\n    \"requests\": {}, \"rps\": {:.1},\n    \
-                 \"close_requests\": {}, \"close_rps\": {:.1},\n    \
-                 \"keepalive_vs_close_rps\": {:.2},\n    \
-                 \"reuse_ratio\": {:.4}, \"connect_p50_us\": {:.1},\n    \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1},\n    \
-                 \"warm_uncached_p50_us\": {:.1}, \"warm_cached_p50_us\": {:.1},\n    \
-                 \"warm_cached_speedup\": {:.2},\n    \
-                 \"warm_solve_p50_us\": {:.1}, \"cold_cli_solve_p50_us\": {:.1},\n    \
-                 \"warm_vs_cold\": {:.2}\n  }}",
-                s.requests,
-                s.rps,
-                s.close_requests,
-                s.close_rps,
-                s.keepalive_vs_close_rps,
-                s.reuse_ratio,
-                s.connect_p50_us,
-                s.p50_us,
-                s.p99_us,
-                s.p999_us,
-                s.warm_uncached_p50_us,
-                s.warm_cached_p50_us,
-                s.warm_cached_speedup,
-                s.warm_solve_p50_us,
-                s.cold_cli_solve_p50_us,
-                s.warm_vs_cold,
-            ));
-        }
         out.push_str("\n}\n");
         out
     }
@@ -824,7 +730,6 @@ pub fn run(quick: bool) -> BenchReport {
         host: HostInfo::detect(),
         scenarios,
         ratios,
-        serve: None,
     }
 }
 
@@ -854,48 +759,7 @@ mod tests {
         let text = r.render();
         assert!(text.contains("uncertainty_scalar"), "{text}");
         assert!(text.contains("logical cores"), "{text}");
-        // Without --serve the optional block is absent entirely.
+        // Nothing produces the retired serve block any more.
         assert!(!json.contains("\"serve\""), "{json}");
-    }
-
-    #[test]
-    fn serve_block_serializes_when_attached() {
-        let mut r = run(true);
-        r.serve = Some(ServeBench {
-            requests: 1000,
-            rps: 12_000.0,
-            close_requests: 1000,
-            close_rps: 3_000.0,
-            keepalive_vs_close_rps: 4.0,
-            reuse_ratio: 0.996,
-            connect_p50_us: 45.0,
-            p50_us: 80.0,
-            p99_us: 400.0,
-            p999_us: 900.0,
-            warm_uncached_p50_us: 700.0,
-            warm_cached_p50_us: 70.0,
-            warm_cached_speedup: 10.0,
-            warm_solve_p50_us: 60.0,
-            cold_cli_solve_p50_us: 9_000.0,
-            warm_vs_cold: 150.0,
-        });
-        let json = r.to_json();
-        assert!(json.contains("\"serve\": {"), "{json}");
-        assert!(json.contains("\"warm_vs_cold\": 150.00"), "{json}");
-        assert!(json.contains("\"p999_us\": 900.0"), "{json}");
-        assert!(json.contains("\"keepalive_vs_close_rps\": 4.00"), "{json}");
-        assert!(json.contains("\"reuse_ratio\": 0.9960"), "{json}");
-        assert!(json.contains("\"connect_p50_us\": 45.0"), "{json}");
-        assert!(json.contains("\"warm_cached_speedup\": 10.00"), "{json}");
-        let text = r.render();
-        assert!(
-            text.contains("serve_warm_solve_vs_cold_cli: 150.0x"),
-            "{text}"
-        );
-        assert!(
-            text.contains("serve_keepalive_vs_close_rps: 4.0x"),
-            "{text}"
-        );
-        assert!(text.contains("serve_warm_cached_speedup: 10.0x"), "{text}");
     }
 }

@@ -31,10 +31,11 @@ const ABSOLUTE_FLOORS: [(&str, f64); 3] = [
 
 const RELATIVE_FLOOR: f64 = 0.5;
 
-/// The newest `BENCH_<pr>.json` at the repo root (highest PR number), parsed.
-fn newest_evidence() -> (String, Json) {
+/// Every `BENCH_<pr>.json` at the repo root, parsed, newest (highest PR
+/// number) first.
+fn evidence_newest_first() -> Vec<(String, Json)> {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let mut newest: Option<(u64, String)> = None;
+    let mut files: Vec<(u64, String)> = Vec::new();
     for entry in std::fs::read_dir(root).expect("repo root readable") {
         let name = entry
             .expect("dir entry")
@@ -48,14 +49,40 @@ fn newest_evidence() -> (String, Json) {
         else {
             continue;
         };
-        if newest.as_ref().is_none_or(|(best, _)| pr > *best) {
-            newest = Some((pr, name));
-        }
+        files.push((pr, name));
     }
-    let (_, name) = newest.expect("at least one BENCH_<pr>.json evidence file");
-    let text = std::fs::read_to_string(format!("{root}/{name}")).expect("evidence readable");
-    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: bad JSON: {e}"));
-    (name, doc)
+    files.sort_unstable_by_key(|(pr, _)| std::cmp::Reverse(*pr));
+    files
+        .into_iter()
+        .map(|(_, name)| {
+            let text =
+                std::fs::read_to_string(format!("{root}/{name}")).expect("evidence readable");
+            let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: bad JSON: {e}"));
+            (name, doc)
+        })
+        .collect()
+}
+
+/// The newest `BENCH_<pr>.json` at the repo root (highest PR number), parsed.
+fn newest_evidence() -> (String, Json) {
+    evidence_newest_first()
+        .into_iter()
+        .next()
+        .expect("at least one BENCH_<pr>.json evidence file")
+}
+
+/// The serve block of the newest evidence file that has one. The in-process
+/// load generator that wrote these blocks is gone, so they are frozen
+/// evidence (`BENCH_10.json` is the newest); serving is measured out of
+/// process by `ratperf` now.
+fn newest_serve_evidence() -> (String, Json) {
+    evidence_newest_first()
+        .into_iter()
+        .find_map(|(name, doc)| doc.get("serve").cloned().map(|serve| (name, serve)))
+        .expect(
+            "no BENCH_<pr>.json evidence file has a serve block — the frozen \
+             BENCH_10.json serve evidence is missing",
+        )
 }
 
 /// Ratio name → speedup from a bench report document.
@@ -81,10 +108,7 @@ fn ratios_of(doc: &Json) -> Vec<(String, f64)> {
 /// cached solve at least 10× faster at p50 than a cold CLI invocation.
 #[test]
 fn serve_evidence_shows_warm_server_at_least_10x_cold_cli() {
-    let (name, doc) = newest_evidence();
-    let serve = doc.get("serve").unwrap_or_else(|| {
-        panic!("{name}: newest evidence has no serve block — run `rat bench --serve --json`")
-    });
+    let (name, serve) = newest_serve_evidence();
     let ratio = serve
         .get("warm_vs_cold")
         .and_then(Json::as_f64)
@@ -102,14 +126,11 @@ fn serve_evidence_shows_warm_server_at_least_10x_cold_cli() {
 /// duplicate-heavy workload.
 #[test]
 fn serve_evidence_shows_keepalive_at_least_3x_close_per_request() {
-    let (name, doc) = newest_evidence();
-    let Some(serve) = doc.get("serve") else {
-        panic!("{name}: newest evidence has no serve block — run `rat bench --serve --json`")
-    };
+    let (name, serve) = newest_serve_evidence();
     let Some(ratio) = serve.get("keepalive_vs_close_rps").and_then(Json::as_f64) else {
         panic!(
-            "{name}: serve block predates keepalive_vs_close_rps (schema v3) — \
-             regenerate with `rat bench --serve --json`"
+            "{name}: serve block predates keepalive_vs_close_rps (schema v3); \
+             the serve block is frozen BENCH_10.json evidence and nothing regenerates it"
         )
     };
     assert!(
@@ -135,14 +156,11 @@ fn serve_evidence_shows_keepalive_at_least_3x_close_per_request() {
 /// recompute-every-time path.
 #[test]
 fn serve_evidence_shows_cached_repeats_at_least_5x_uncached() {
-    let (name, doc) = newest_evidence();
-    let Some(serve) = doc.get("serve") else {
-        panic!("{name}: newest evidence has no serve block — run `rat bench --serve --json`")
-    };
+    let (name, serve) = newest_serve_evidence();
     let Some(ratio) = serve.get("warm_cached_speedup").and_then(Json::as_f64) else {
         panic!(
-            "{name}: serve block predates warm_cached_speedup (schema v3) — \
-             regenerate with `rat bench --serve --json`"
+            "{name}: serve block predates warm_cached_speedup (schema v3); \
+             the serve block is frozen BENCH_10.json evidence and nothing regenerates it"
         )
     };
     assert!(
@@ -166,7 +184,7 @@ fn staged_sweep_evidence_shows_at_least_1_5x_over_eager() {
         .unwrap_or_else(|| {
             panic!(
                 "{name}: evidence records no sweep_staged_vs_eager ratio — \
-                 regenerate with `rat bench --serve --json`"
+                 regenerate with `rat bench --json`"
             )
         });
     assert!(
@@ -180,7 +198,7 @@ fn staged_sweep_evidence_shows_at_least_1_5x_over_eager() {
 /// (schema v1) cannot be gated — regenerate it.
 fn evidence_host(name: &str, doc: &Json) -> (u64, bool) {
     let host = doc.get("host").unwrap_or_else(|| {
-        panic!("{name}: evidence has no host block — regenerate with `rat bench --serve --json`")
+        panic!("{name}: evidence has no host block — regenerate with `rat bench --json`")
     });
     let cores = host
         .get("logical_cores")
@@ -259,7 +277,7 @@ fn guided_search_evidence_matches_exhaustive_within_1pct_at_a_tenth_of_the_evals
         .unwrap_or_else(|| {
             panic!(
                 "{name}: evidence records no optimize_guided_quality_vs_exhaustive ratio — \
-                 regenerate with `rat bench --serve --json`"
+                 regenerate with `rat bench --json`"
             )
         });
     assert!(

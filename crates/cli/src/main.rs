@@ -9,7 +9,7 @@
 //! rat explore <worksheet.toml> <speedup>   throughput-gate a design space
 //! rat microbench <platform>                derive alpha(size) tables
 //! rat reproduce <artifact|all> [--fast]    regenerate paper tables/figures
-//! rat bench [--json] [--quick] [--serve]   time hot paths vs their baselines
+//! rat bench [--json] [--quick]             time hot paths vs their baselines
 //! rat serve [--port N] [--workers N]       resident analysis daemon
 //! rat example-worksheet                    print a starter worksheet
 //! ```
@@ -48,7 +48,7 @@ use rat_serve::api::{self, ApiError, ApiRequest, OptimizeSpec};
 /// | 3 | invalid worksheet parameter, quantity, or TOML |
 /// | 4 | infeasible solve (no parameter value reaches the target) |
 /// | 5 | simulator failure |
-/// | 6 | I/O failure (worksheet file or simulator cache) |
+/// | 6 | I/O failure (worksheet or `--profile` file, listener, stdout) |
 #[derive(Debug)]
 enum CliError {
     /// The command line itself is wrong.
@@ -79,15 +79,6 @@ enum CliError {
         /// The pipeline failure underneath.
         source: RatError,
     },
-    /// The `RAT_SIM_CACHE` persistence path cannot be opened for writing.
-    /// Surfaced up front (before any simulation) instead of silently losing
-    /// cache writes at the end of the run.
-    CacheEnv {
-        /// The path `RAT_SIM_CACHE` named.
-        path: String,
-        /// Underlying filesystem error, rendered via the source chain.
-        source: std::io::Error,
-    },
     /// Writing the command output to stdout failed.
     Stdout(std::io::Error),
 }
@@ -108,7 +99,7 @@ impl CliError {
                 RatError::Simulation(_) => 5,
                 RatError::CacheIo(_) => 6,
             },
-            CliError::Io { .. } | CliError::CacheEnv { .. } | CliError::Stdout(_) => 6,
+            CliError::Io { .. } | CliError::Stdout(_) => 6,
         }
     }
 }
@@ -121,9 +112,6 @@ impl std::fmt::Display for CliError {
             CliError::Parse { path, message } => write!(f, "parsing {path}: {message}"),
             CliError::Rat(e) => write!(f, "{e}"),
             CliError::Context { context, .. } => write!(f, "{context}"),
-            CliError::CacheEnv { path, .. } => {
-                write!(f, "opening simulator cache (RAT_SIM_CACHE) at {path}")
-            }
             CliError::Stdout(_) => write!(f, "writing to stdout"),
         }
     }
@@ -132,9 +120,7 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Io { source, .. }
-            | CliError::CacheEnv { source, .. }
-            | CliError::Stdout(source) => Some(source),
+            CliError::Io { source, .. } | CliError::Stdout(source) => Some(source),
             CliError::Context { source, .. } => Some(source),
             _ => None,
         }
@@ -175,10 +161,6 @@ fn main() -> ExitCode {
             return ExitCode::from(err.exit_code());
         }
     };
-    if let Err(err) = preflight_cache_env() {
-        report_error(&err);
-        return ExitCode::from(err.exit_code());
-    }
     if flags.no_cache {
         fpga_sim::SimCache::global().set_enabled(false);
     }
@@ -217,12 +199,10 @@ fn main() -> ExitCode {
             // Preserve the dispatch failure's code if there was one;
             // otherwise the telemetry I/O failure becomes the exit code.
             if code == ExitCode::SUCCESS {
-                flush_global_cache();
                 return ExitCode::from(err.exit_code());
             }
         }
     }
-    flush_global_cache();
     code
 }
 
@@ -233,13 +213,6 @@ fn print_stdout(text: &str) -> Result<(), CliError> {
     writeln!(out, "{text}")
         .and_then(|()| out.flush())
         .map_err(CliError::Stdout)
-}
-
-/// Write the global simulator cache's batched inserts to disk. The global
-/// cache lives in a `OnceLock` and is never dropped, so the write-behind
-/// persistence needs this explicit flush before the process exits.
-fn flush_global_cache() {
-    fpga_sim::SimCache::global().flush();
 }
 
 /// Render an error (and its full `caused by:` source chain) on stderr.
@@ -253,25 +226,6 @@ fn report_error(err: &CliError) {
     if matches!(err, CliError::Usage(_)) {
         eprintln!("run `rat help` for usage");
     }
-}
-
-/// Fail fast if `RAT_SIM_CACHE` names a persistence path that cannot be
-/// opened for appending: `SimCache::insert` deliberately ignores write
-/// failures mid-run (losing cache persistence must never corrupt results),
-/// so an unusable path is reported here, before any simulation runs.
-fn preflight_cache_env() -> Result<(), CliError> {
-    let Ok(path) = std::env::var("RAT_SIM_CACHE") else {
-        return Ok(());
-    };
-    if path.is_empty() || path == "off" || path == "0" {
-        return Ok(());
-    }
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map(drop)
-        .map_err(|source| CliError::CacheEnv { path, source })
 }
 
 /// Drain the global telemetry collector and emit what the flags asked for:
@@ -352,7 +306,6 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
             flags.config = flags.config.with_jobs(parse_num("--jobs", n)?);
         } else if a == "--no-cache" {
             flags.no_cache = true;
-            flags.config = flags.config.with_cache(false);
         } else if a == "--metrics" {
             flags.metrics = true;
         } else if a == "--profile" {
@@ -379,7 +332,6 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
 #[cfg(test)]
 fn run(args: &[String]) -> Result<String, CliError> {
     let flags = parse_global_flags(args)?;
-    preflight_cache_env()?;
     if flags.no_cache {
         fpga_sim::SimCache::global().set_enabled(false);
     }
@@ -544,42 +496,12 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
         "bench" => {
             let json = args.iter().any(|a| a == "--json");
             let quick = args.iter().any(|a| a == "--quick");
-            let serve = args.iter().any(|a| a == "--serve");
             for a in &args[1..] {
-                if a != "--json" && a != "--quick" && a != "--serve" {
+                if a != "--json" && a != "--quick" {
                     return Err(CliError::usage(format!("unknown bench flag '{a}'")));
                 }
             }
-            let mut report = rat_bench::hotbench::run(quick);
-            if serve {
-                // The cold-CLI comparison spawns this very binary.
-                let rat = std::env::current_exe().map_err(|source| CliError::Io {
-                    path: "<current executable>".into(),
-                    source,
-                })?;
-                let load = rat_serve::loadgen::run(&rat, quick).map_err(|source| CliError::Io {
-                    path: "serve load generator".into(),
-                    source,
-                })?;
-                report.serve = Some(rat_bench::hotbench::ServeBench {
-                    requests: load.requests,
-                    rps: load.rps,
-                    close_requests: load.close_requests,
-                    close_rps: load.close_rps,
-                    keepalive_vs_close_rps: load.keepalive_vs_close_rps,
-                    reuse_ratio: load.reuse_ratio,
-                    connect_p50_us: load.connect_p50_us,
-                    p50_us: load.p50_us,
-                    p99_us: load.p99_us,
-                    p999_us: load.p999_us,
-                    warm_uncached_p50_us: load.warm_uncached_p50_us,
-                    warm_cached_p50_us: load.warm_cached_p50_us,
-                    warm_cached_speedup: load.warm_cached_speedup,
-                    warm_solve_p50_us: load.warm_solve_p50_us,
-                    cold_cli_solve_p50_us: load.cold_cli_solve_p50_us,
-                    warm_vs_cold: load.warm_vs_cold,
-                });
-            }
+            let report = rat_bench::hotbench::run(quick);
             if json {
                 Ok(report.to_json())
             } else {
@@ -904,9 +826,9 @@ USAGE:
   rat compare <ws1.toml> <ws2.toml>...      rank candidate designs
   rat breakeven <ws.toml> <hours> <runs/day> development-vs-savings break-even
   rat reproduce <id|all> [--fast]           regenerate paper tables/figures
-  rat bench [--json] [--quick] [--serve]    time the hot paths against their
-                                            unoptimized baselines (--serve adds
-                                            resident-server load generation)
+  rat bench [--json] [--quick]              time the hot paths against their
+                                            unoptimized baselines (serving is
+                                            measured out of process by ratperf)
   rat serve [--addr A] [--port N] [--workers N] [--queue N] [--no-response-cache]
                                             resident analysis daemon: HTTP/1.1+JSON
                                             (keep-alive) on POST /v1/{solve,sweep,
@@ -1325,7 +1247,10 @@ mod tests {
         assert!(json.contains("\"speedup\""), "{json}");
         let text = run(&["bench".into(), "--quick".into()]).unwrap();
         assert!(text.contains("Hot-path benchmarks"), "{text}");
-        assert!(run(&["bench".into(), "--loud".into()]).is_err());
+        for flag in ["--loud", "--serve"] {
+            let err = run(&["bench".into(), flag.into()]).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{flag}");
+        }
     }
 
     #[test]

@@ -17,20 +17,17 @@ fn worksheet(name: &str) -> String {
 }
 
 fn run_rat(args: &[&str]) -> (String, String, bool) {
-    let (stdout, stderr, code) = run_rat_env(args, &[]);
+    let (stdout, stderr, code) = run_rat_code(args);
     (stdout, stderr, code == 0)
 }
 
-/// Spawn the binary with extra environment variables, returning the exact
-/// exit code (the CLI's error taxonomy maps failure classes to distinct
-/// codes; see DESIGN.md §10).
-fn run_rat_env(args: &[&str], env: &[(&str, &str)]) -> (String, String, i32) {
-    let mut cmd = Command::new(rat_binary());
-    cmd.args(args);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("spawning the rat binary");
+/// Spawn the binary, returning the exact exit code (the CLI's error
+/// taxonomy maps failure classes to distinct codes; see DESIGN.md §10).
+fn run_rat_code(args: &[&str]) -> (String, String, i32) {
+    let out = Command::new(rat_binary())
+        .args(args)
+        .output()
+        .expect("spawning the rat binary");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -89,13 +86,12 @@ fn help_exits_zero() {
 fn infeasible_strict_solve_exits_4_with_cause_chain() {
     // No design reaches a billionfold speedup: communication alone exceeds
     // the per-iteration budget, so `solve --strict` must fail infeasible.
-    let (stdout, stderr, code) =
-        run_rat_env(&["solve", "--strict", &worksheet("pdf1d"), "1e9"], &[]);
+    let (stdout, stderr, code) = run_rat_code(&["solve", "--strict", &worksheet("pdf1d"), "1e9"]);
     assert_eq!(code, 4, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stderr.contains("error: solving"), "{stderr}");
     assert!(stderr.contains("caused by: infeasible:"), "{stderr}");
     // Without --strict the same target renders inline and exits 0.
-    let (stdout, _, code) = run_rat_env(&["solve", &worksheet("pdf1d"), "1e9"], &[]);
+    let (stdout, _, code) = run_rat_code(&["solve", &worksheet("pdf1d"), "1e9"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("infeasible"), "{stdout}");
 }
@@ -106,7 +102,7 @@ fn simulation_failure_exits_5_with_cause_chain() {
     // input the simulator rejects; the CLI must report what it was doing
     // (context) plus the simulator's reason (cause).
     for mhz in ["0", "1e9"] {
-        let (_, stderr, code) = run_rat_env(&["trace", "pdf1d", "--mhz", mhz], &[]);
+        let (_, stderr, code) = run_rat_code(&["trace", "pdf1d", "--mhz", mhz]);
         assert_eq!(code, 5, "--mhz {mhz}: {stderr}");
         assert!(stderr.contains("error: simulating pdf1d"), "{stderr}");
         assert!(stderr.contains("caused by: simulation failed:"), "{stderr}");
@@ -117,16 +113,13 @@ fn simulation_failure_exits_5_with_cause_chain() {
 fn inverted_uncertainty_range_exits_3_naming_the_parameter() {
     // A checked value, not an assertion: no panic (exit 101), but exit 3
     // with the parameter named on the cause chain.
-    let (_, stderr, code) = run_rat_env(
-        &[
-            "uncertainty",
-            &worksheet("pdf1d"),
-            "fclock",
-            "150e6",
-            "75e6",
-        ],
-        &[],
-    );
+    let (_, stderr, code) = run_rat_code(&[
+        "uncertainty",
+        &worksheet("pdf1d"),
+        "fclock",
+        "150e6",
+        "75e6",
+    ]);
     assert_eq!(code, 3, "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(
@@ -136,24 +129,47 @@ fn inverted_uncertainty_range_exits_3_naming_the_parameter() {
 }
 
 #[test]
-fn unwritable_cache_path_exits_6_with_cause_chain() {
-    // RAT_SIM_CACHE pointing into a nonexistent directory must fail up
-    // front (exit 6), not silently lose cache writes at the end of the run.
-    let (_, stderr, code) = run_rat_env(
-        &["analyze", &worksheet("pdf1d")],
-        &[("RAT_SIM_CACHE", "/nonexistent-rat-dir/cache.tsv")],
-    );
+fn unwritable_profile_path_exits_6_with_cause_chain() {
+    // The analysis succeeds, but the `--profile` output cannot be written:
+    // that I/O failure becomes the exit code, with the OS reason underneath.
+    let (_, stderr, code) = run_rat_code(&[
+        "--profile",
+        "/nonexistent-rat-dir/profile.json",
+        "analyze",
+        &worksheet("pdf1d"),
+    ]);
     assert_eq!(code, 6, "stderr: {stderr}");
     assert!(
-        stderr.contains("error: opening simulator cache (RAT_SIM_CACHE)"),
+        stderr.contains("/nonexistent-rat-dir/profile.json"),
         "{stderr}"
     );
     assert!(stderr.contains("caused by:"), "{stderr}");
 }
 
 #[test]
+fn deeply_nested_worksheet_exits_3_not_a_stack_overflow() {
+    // 200,000 nested arrays would recurse the TOML parser off the main
+    // thread's stack (an abort, exit 134); the depth limit makes it an
+    // ordinary parse error.
+    let depth = 200_000;
+    let path = std::env::temp_dir().join(format!("rat-deep-{}.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        format!("a = {}{}\n", "[".repeat(depth), "]".repeat(depth)),
+    )
+    .unwrap();
+    let (_, stderr, code) = run_rat_code(&["analyze", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, 3, "stderr: {stderr}");
+    assert!(
+        stderr.contains("TOML parse error: arrays and inline tables nest deeper than 128 levels"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn trace_mhz_override_is_reflected_in_output() {
-    let (stdout, _, code) = run_rat_env(&["trace", "pdf1d", "--mhz", "100"], &[]);
+    let (stdout, _, code) = run_rat_code(&["trace", "pdf1d", "--mhz", "100"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("simulated at 100 MHz"), "{stdout}");
 }

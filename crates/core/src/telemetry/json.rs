@@ -7,7 +7,9 @@
 //! emitted profile or bench report and check its shape instead of greping
 //! strings. It accepts strict JSON (no comments, no trailing commas) and
 //! keeps object keys in document order — good enough to validate our own
-//! deterministic output, not a general-purpose library.
+//! deterministic output, not a general-purpose library. `rat serve` parses
+//! untrusted request bodies with it too, so nesting is bounded by
+//! [`MAX_DEPTH`]: a hostile body cannot recurse the parser off its stack.
 
 /// A parsed JSON value. Numbers are `f64` (the exporters emit nothing that
 /// needs more); object keys keep document order.
@@ -69,12 +71,18 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Our own
+/// documents nest a handful of levels; the bound keeps the recursive descent
+/// a small, fixed fraction of any thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Errors carry the byte offset and a short
 /// description.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -88,6 +96,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -121,8 +131,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -202,13 +226,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one go
+                    // (multi-byte sequences pass through unchanged). Both
+                    // stops are ASCII, so the run ends on a char boundary of
+                    // the `&str` input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("a run between ASCII stops of a &str is UTF-8"),
+                    );
                 }
             }
         }
@@ -294,6 +323,17 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+        // Nesting is bounded: MAX_DEPTH levels parse, one more is an error
+        // naming the limit and the offset of the bracket that crossed it.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let err = parse(&"{\"a\": ".repeat(10_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
     }
 
     #[test]

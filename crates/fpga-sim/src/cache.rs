@@ -20,21 +20,14 @@
 //! and the [`CacheStats::shard_contention`] counter records how often a
 //! try-lock still collided.
 //!
-//! By default the cache lives in memory only, so tests stay hermetic and a
-//! simulator change can never be masked by stale results on disk. The CLI
-//! opts into persistence with [`SimCache::persist_at`] (or the
-//! `RAT_SIM_CACHE` environment variable). Persistence is write-behind: a
-//! dirty counter batches inserts and snapshots the cache to a TSV file every
-//! [`FLUSH_INTERVAL`] inserts, on [`SimCache::flush`], and on drop — always
-//! via an atomic temp-file rename, so a concurrent reader never sees a torn
-//! file.
+//! The cache lives in memory only, so tests stay hermetic and a simulator
+//! change can never be masked by stale results on disk.
 
 use crate::platform::Measurement;
 use crate::time::SimTime;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// The scalar results of one platform execution — [`Measurement`] minus the
 /// per-event trace.
@@ -123,12 +116,6 @@ impl CacheStats {
 /// mask of the key's low bits.
 pub const SHARD_COUNT: usize = 16;
 
-/// Inserts between write-behind snapshots of a persistent cache. A large
-/// sweep previously rewrote the whole TSV once per insert — O(n²) bytes for n
-/// entries; batching bounds the rewrite count at `n / FLUSH_INTERVAL` plus
-/// the final flush on drop.
-pub const FLUSH_INTERVAL: u64 = 64;
-
 /// The shard a key belongs to: low bits of the 128-bit digest, which are
 /// uniformly distributed by construction.
 fn shard_of(key: u128) -> usize {
@@ -138,18 +125,14 @@ fn shard_of(key: u128) -> usize {
 /// A concurrent, content-addressed store of simulation results, sharded
 /// [`SHARD_COUNT`] ways.
 ///
-/// Each critical section is one map insert, read or clear, or one path
-/// store, so the data stays valid if a holder panics: every lock recovers a
-/// poisoned guard.
+/// Each critical section is one map insert, read or clear, so the data
+/// stays valid if a holder panics: every lock recovers a poisoned guard.
 pub struct SimCache {
     shards: [RwLock<HashMap<u128, SimSummary>>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
     shard_contention: AtomicU64,
-    /// Inserts not yet reflected in the on-disk snapshot.
-    dirty: AtomicU64,
     enabled: AtomicBool,
-    disk: Mutex<Option<PathBuf>>,
 }
 
 impl SimCache {
@@ -160,27 +143,14 @@ impl SimCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             shard_contention: AtomicU64::new(0),
-            dirty: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
-            disk: Mutex::new(None),
         }
     }
 
     /// The process-wide cache.
-    ///
-    /// Honors `RAT_SIM_CACHE` on first access: `off`/`0` disables the cache,
-    /// any other non-empty value is a path to persist it at.
     pub fn global() -> &'static SimCache {
         static GLOBAL: OnceLock<SimCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = SimCache::new();
-            match std::env::var("RAT_SIM_CACHE") {
-                Ok(v) if v == "off" || v == "0" => cache.set_enabled(false),
-                Ok(v) if !v.is_empty() => cache.persist_at(PathBuf::from(v)),
-                _ => {}
-            }
-            cache
-        })
+        GLOBAL.get_or_init(SimCache::new)
     }
 
     /// Turn lookups and inserts on or off. Disabling does not drop stored
@@ -192,21 +162,6 @@ impl SimCache {
     /// Whether the cache currently answers lookups.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Persist the cache at `path`: load any entries a previous process left
-    /// there, and write-behind snapshot the cache back every
-    /// [`FLUSH_INTERVAL`] inserts and on [`flush`](Self::flush)/drop (atomic
-    /// temp-file + rename, so a concurrent reader never sees a torn file).
-    /// Unreadable or malformed existing files are ignored — the cache is an
-    /// accelerator, never a correctness dependency.
-    pub fn persist_at(&self, path: PathBuf) {
-        if let Some(loaded) = read_tsv(&path) {
-            for (k, v) in loaded {
-                self.write_shard(k).entry(k).or_insert(v);
-            }
-        }
-        *self.disk.lock().unwrap_or_else(PoisonError::into_inner) = Some(path);
     }
 
     /// Read-lock a key's shard, counting a contended try-lock.
@@ -254,40 +209,12 @@ impl SimCache {
         }
     }
 
-    /// Store a result. No-op when disabled. Persistent caches batch the disk
-    /// write: the snapshot happens every [`FLUSH_INTERVAL`] inserts, not per
-    /// insert.
+    /// Store a result. No-op when disabled.
     pub fn insert(&self, key: u128, summary: SimSummary) {
         if !self.is_enabled() {
             return;
         }
         self.write_shard(key).insert(key, summary);
-        // One increment per insert; the flusher swaps the counter back to
-        // zero, so racing inserts at most flush once each past the threshold.
-        if self.dirty.fetch_add(1, Ordering::Relaxed) + 1 >= FLUSH_INTERVAL {
-            self.flush();
-        }
-    }
-
-    /// Write any batched inserts of a persistent cache to disk now. A no-op
-    /// for in-memory caches or when nothing is dirty. Failure to write is a
-    /// lost optimization, not an error.
-    pub fn flush(&self) {
-        // The disk mutex serializes concurrent flushers; dirty is swapped to
-        // zero under it so each batch is written exactly once.
-        let disk = self.disk.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(path) = disk.as_ref() else {
-            return;
-        };
-        if self.dirty.swap(0, Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut rows: Vec<(u128, SimSummary)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-            rows.extend(map.iter().map(|(k, v)| (*k, *v)));
-        }
-        let _ = write_tsv(path, &rows);
     }
 
     /// Current counters.
@@ -313,8 +240,7 @@ impl SimCache {
         self.shard_contention.store(0, Ordering::Relaxed);
     }
 
-    /// Drop all stored entries and zero the counters. Pending (unflushed)
-    /// inserts are discarded along with the entries.
+    /// Drop all stored entries and zero the counters.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard
@@ -322,7 +248,6 @@ impl SimCache {
                 .unwrap_or_else(PoisonError::into_inner)
                 .clear();
         }
-        self.dirty.store(0, Ordering::Relaxed);
         self.reset_stats();
     }
 }
@@ -331,57 +256,6 @@ impl Default for SimCache {
     fn default() -> Self {
         Self::new()
     }
-}
-
-impl Drop for SimCache {
-    /// Flush batched inserts so a persistent cache never loses the tail of a
-    /// run. The process-global cache is never dropped — the CLI flushes it
-    /// explicitly before exit.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-// Disk format: one `key_hex \t total \t comm \t streamed \t comp \t host \t
-// iters` row per entry, all times in integer picoseconds. Human-greppable and
-// trivially versioned by the schema salt already folded into every key.
-fn write_tsv(path: &Path, rows: &[(u128, SimSummary)]) -> std::io::Result<()> {
-    let mut body = String::with_capacity(rows.len() * 64);
-    for (k, s) in rows {
-        body.push_str(&format!(
-            "{:032x}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            k,
-            s.total.as_ps(),
-            s.comm_busy.as_ps(),
-            s.streamed_comm.as_ps(),
-            s.compute_busy.as_ps(),
-            s.host_overhead.as_ps(),
-            s.iterations,
-        ));
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
-}
-
-fn read_tsv(path: &Path) -> Option<Vec<(u128, SimSummary)>> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let mut rows = Vec::new();
-    for line in body.lines() {
-        let mut f = line.split('\t');
-        let key = u128::from_str_radix(f.next()?, 16).ok()?;
-        let mut ps = || f.next()?.parse::<u64>().ok();
-        let summary = SimSummary {
-            total: SimTime::from_ps(ps()?),
-            comm_busy: SimTime::from_ps(ps()?),
-            streamed_comm: SimTime::from_ps(ps()?),
-            compute_busy: SimTime::from_ps(ps()?),
-            host_overhead: SimTime::from_ps(ps()?),
-            iterations: ps()?,
-        };
-        rows.push((key, summary));
-    }
-    Some(rows)
 }
 
 #[cfg(test)]
@@ -423,15 +297,13 @@ mod tests {
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
                 let _shard = cache.shards[shard_of(key)].write();
-                let _disk = cache.disk.lock();
-                panic!("poison a shard and the disk lock");
+                panic!("poison a shard");
             });
             assert!(poisoner.join().is_err());
         });
-        assert!(cache.shards[shard_of(key)].is_poisoned() && cache.disk.is_poisoned());
+        assert!(cache.shards[shard_of(key)].is_poisoned());
         assert_eq!(cache.lookup(key), Some(sample_summary(10)));
         cache.insert(key + 1, sample_summary(20));
-        cache.flush();
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
         assert_eq!(cache.lookup(key), None);
@@ -508,80 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn persistence_round_trips_through_tsv() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        let first = SimCache::new();
-        first.persist_at(path.clone());
-        first.insert(0xABCD, sample_summary(777));
-        first.insert(0x1234, sample_summary(888));
-        // Writes are batched now: nothing reaches disk until a flush.
-        assert!(!path.exists(), "write-behind must not write per insert");
-        first.flush();
-
-        let second = SimCache::new();
-        second.persist_at(path.clone());
-        assert_eq!(second.lookup(0xABCD), Some(sample_summary(777)));
-        assert_eq!(second.lookup(0x1234), Some(sample_summary(888)));
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn drop_flushes_pending_inserts() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        {
-            let cache = SimCache::new();
-            cache.persist_at(path.clone());
-            cache.insert(0xFEED, sample_summary(111));
-            assert!(!path.exists());
-        } // drop flushes
-
-        let reader = SimCache::new();
-        reader.persist_at(path.clone());
-        assert_eq!(reader.lookup(0xFEED), Some(sample_summary(111)));
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn interval_flush_bounds_write_amplification() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-amp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        let cache = SimCache::new();
-        cache.persist_at(path.clone());
-        for k in 0..FLUSH_INTERVAL - 1 {
-            cache.insert(u128::from(k), sample_summary(k + 1));
-        }
-        assert!(!path.exists(), "below the interval nothing is written");
-        cache.insert(
-            u128::from(FLUSH_INTERVAL - 1),
-            sample_summary(FLUSH_INTERVAL),
-        );
-        assert!(
-            path.exists(),
-            "the interval-th insert triggers the snapshot"
-        );
-        let rows = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(rows.lines().count() as u64, FLUSH_INTERVAL);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
     fn keys_spread_across_shards_and_uncontended_locks_count_nothing() {
         let cache = SimCache::new();
         for k in 0..(SHARD_COUNT as u128 * 4) {
@@ -621,21 +419,6 @@ mod tests {
         }
         assert_eq!(cache.stats().entries, 8 * 200);
         assert_eq!(cache.stats().hits, 8 * 200);
-    }
-
-    #[test]
-    fn malformed_cache_file_is_ignored() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        std::fs::write(&path, "not\ta\tcache\n").unwrap();
-
-        let cache = SimCache::new();
-        cache.persist_at(path.clone());
-        assert_eq!(cache.stats().entries, 0);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

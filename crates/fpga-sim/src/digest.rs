@@ -114,7 +114,7 @@ impl Digestible for Interconnect {
     fn digest_into(&self, d: &mut SpecDigest) {
         d.write_str(&self.name);
         // Digested as the raw bytes/second bit pattern — the same bits the
-        // pre-typed field held, so existing persisted cache keys stay valid.
+        // pre-typed field held, so run keys did not change with the type.
         d.write_f64(self.ideal_bw.bytes_per_sec());
         self.setup_write.digest_into(d);
         self.setup_read.digest_into(d);

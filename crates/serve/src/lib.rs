@@ -37,14 +37,9 @@
 //!   a warm [`rat_core::engine::Engine`] and looping requests on kept-alive
 //!   connections, every `/v1/*` route computing through [`api::handle`]
 //!   with a panicking handler answered `500` instead of killing its worker,
-//!   graceful drain on `POST /shutdown` or SIGINT/SIGTERM
-//!   (in-flight requests complete, the write-behind simulator cache is
-//!   flushed to disk), and a plaintext `GET /metrics` endpoint with
+//!   graceful drain on `POST /shutdown` or SIGINT/SIGTERM (in-flight
+//!   requests complete), and a plaintext `GET /metrics` endpoint with
 //!   per-request latency histograms.
-//! * [`loadgen`] — the `rat bench --serve` load generator: fires mixed
-//!   keep-alive load (with duplicate phases) at an in-process server plus a
-//!   close-per-request baseline, records RPS, tail latency, connection
-//!   reuse, and the warm-vs-cold CLI ratio checked into `BENCH_10.json`.
 //!
 //! [`RatError`]: rat_core::RatError
 
@@ -54,7 +49,6 @@ pub mod api;
 pub mod coalesce;
 pub mod http;
 pub mod keys;
-pub mod loadgen;
 pub mod metrics;
 mod queue;
 pub mod respcache;

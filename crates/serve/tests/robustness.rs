@@ -47,6 +47,24 @@ fn hostile_requests_map_to_documented_statuses_and_daemon_survives() {
     );
     still_alive(&handle, "malformed JSON");
 
+    // A string near the body limit is read in linear time. Decoding it one
+    // character at a time, re-validating the whole remaining body each time,
+    // took 23 s of one worker for a 1 MB string (release build, 2-core
+    // x86-64 host).
+    let started = std::time::Instant::now();
+    let long = format!(
+        "{{\"worksheet_toml\": \"{}\", \"target\": 8.0}}",
+        "x".repeat(1_000_000)
+    );
+    let (status, body) = post(addr, "/v1/solve", &long);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a 1 MB JSON string took {:?} to reject",
+        started.elapsed()
+    );
+    still_alive(&handle, "a 1 MB JSON string");
+
     // A body the request is not allowed to have: declared oversized → 413
     // from the headers alone, before any body bytes are read.
     let raw = format!(
@@ -261,6 +279,58 @@ fn bad_uncertainty_ranges_are_400s_not_panics() {
         );
         still_alive(&handle, "bad uncertainty range");
     }
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(
+        metric_value(&metrics, "serve_panics_total"),
+        Some(0),
+        "{metrics}"
+    );
+    handle.shutdown();
+}
+
+/// Nesting past the JSON and TOML parsers' depth limit is a 400 naming the
+/// limit, not a stack overflow: an overflow aborts the whole process, which
+/// no handler can catch. One worker, so every body lands on the same stack.
+#[test]
+fn deep_nesting_is_a_400_and_the_daemon_survives() {
+    let handle = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+    let deep_toml = |n: usize| format!("a = {}{}", "[".repeat(n), "]".repeat(n));
+    let cases = [
+        (
+            "10,000-deep JSON",
+            "[".repeat(10_000),
+            "nesting deeper than 128 levels",
+        ),
+        (
+            "1,000,000-deep JSON",
+            "[".repeat(1_000_000),
+            "nesting deeper than 128 levels",
+        ),
+        (
+            "20,000-deep worksheet_toml",
+            format!(
+                "{{\"worksheet_toml\": \"{}\", \"target\": 8.0}}",
+                deep_toml(20_000)
+            ),
+            "TOML parse error: arrays and inline tables nest deeper than 128 levels",
+        ),
+    ];
+    for (what, body, cause) in &cases {
+        let (status, resp) = post(addr, "/v1/solve", body);
+        assert_eq!(status, 400, "{what}: {resp}");
+        let (_, causes) = error_of(&resp);
+        assert!(
+            causes.iter().any(|c| c.contains(cause)),
+            "{what}: the cause should name the depth limit: {resp}"
+        );
+    }
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
     let (_, metrics) = get(addr, "/metrics");
     assert_eq!(
         metric_value(&metrics, "serve_panics_total"),

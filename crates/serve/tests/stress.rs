@@ -2,12 +2,11 @@
 //! analysis modes. Every response must be well-formed (no torn writes),
 //! `cache.hits` must be monotonically non-decreasing across `/metrics`
 //! samples, shard contention must be reported, and shutdown must drain
-//! cleanly — in-flight requests complete and the write-behind simulator
-//! cache is flushed to disk (verified by reading the TSV back).
+//! cleanly — in-flight requests complete and every thread is joined.
 //!
 //! This file is a single `#[test]` on purpose: it owns the process-global
-//! simulator cache (pointed at a temp path via `RAT_SIM_CACHE` before the
-//! first touch), which integration tests in other files must not share.
+//! simulator cache, whose counters it samples, which integration tests in
+//! other files must not share.
 
 mod common;
 
@@ -78,13 +77,7 @@ fn workload() -> Vec<(String, String, &'static str)> {
 }
 
 #[test]
-fn mixed_load_is_torn_free_and_drains_with_cache_flush() {
-    // Point the process-global cache at a fresh TSV *before* anything can
-    // touch it, so shutdown's flush is observable on disk.
-    let tsv = std::env::temp_dir().join(format!("rat-serve-stress-{}.tsv", std::process::id()));
-    let _ = std::fs::remove_file(&tsv);
-    std::env::set_var("RAT_SIM_CACHE", &tsv);
-
+fn mixed_load_is_torn_free_and_drains() {
     let handle = Server::start(ServeConfig {
         workers: 4,
         ..ServeConfig::default()
@@ -184,15 +177,4 @@ fn mixed_load_is_torn_free_and_drains_with_cache_flush() {
         summary.ok >= total,
         "some stress requests were not answered ok"
     );
-
-    // The write-behind cache was flushed on drain: the TSV exists and
-    // holds at least the distinct simulation points we drove.
-    let flushed = std::fs::read_to_string(&tsv)
-        .unwrap_or_else(|e| panic!("cache TSV not flushed to {}: {e}", tsv.display()));
-    let entries = flushed.lines().filter(|l| !l.trim().is_empty()).count();
-    assert!(
-        entries >= 2,
-        "flushed cache has {entries} entries, expected >= 2:\n{flushed}"
-    );
-    let _ = std::fs::remove_file(&tsv);
 }
