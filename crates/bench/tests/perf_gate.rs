@@ -7,8 +7,11 @@
 //! quick sizes on shared CI runners are noisy — so it only catches a fast
 //! path actually dying, not ordinary jitter:
 //!
-//! * size-stable ratios (the scalar-vs-batch uncertainty, kernel, explore,
-//!   and telemetry families) must stay above **0.5×** their checked-in value;
+//! * size-stable speedup ratios (the scalar-vs-batch uncertainty, kernel,
+//!   and explore families) must stay above **0.5×** their checked-in value;
+//! * overhead ratios (listed in [`OVERHEAD_RATIOS`]: the telemetry
+//!   enabled-vs-disabled cost) are larger when worse, so each must stay
+//!   below **2×** its checked-in value — the mirror of the floor;
 //! * size-dependent ratios (listed in [`ABSOLUTE_FLOORS`] with the reason)
 //!   sit below their full-size evidence at quick sizes by construction, so
 //!   each is gated against an absolute floor chosen between its quick-size
@@ -30,6 +33,12 @@ const ABSOLUTE_FLOORS: [(&str, f64); 3] = [
 ];
 
 const RELATIVE_FLOOR: f64 = 0.5;
+
+/// Ratios that measure a cost rather than a speedup, gated by a ceiling at
+/// [`RELATIVE_CEILING`] times their checked-in value.
+const OVERHEAD_RATIOS: [&str; 1] = ["execute_summary_telemetry_enabled_vs_disabled"];
+
+const RELATIVE_CEILING: f64 = 2.0;
 
 /// Every `BENCH_<pr>.json` at the repo root, parsed, newest (highest PR
 /// number) first.
@@ -329,6 +338,13 @@ fn live_ratios_have_not_collapsed_against_checked_in_evidence() {
             if *got < floor {
                 failures.push(format!(
                     "{name}: live {got:.2}x below absolute floor {floor}x"
+                ));
+            }
+        } else if OVERHEAD_RATIOS.contains(&name.as_str()) {
+            if *got > RELATIVE_CEILING * want {
+                failures.push(format!(
+                    "{name}: live {got:.2}x above {RELATIVE_CEILING} x checked-in {want:.2}x \
+                     ({evidence_name})"
                 ));
             }
         } else if *got < RELATIVE_FLOOR * want {

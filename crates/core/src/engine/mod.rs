@@ -160,30 +160,27 @@ impl Engine {
     {
         let started = Instant::now();
         let counters = &self.counters;
-        // Capture the caller's span path once so `engine.job` spans recorded
-        // on pool worker threads nest under the phase that spawned the batch
-        // (sweep, uncertainty, ...) instead of floating at top level.
         let collect = telemetry::enabled();
-        // The job kind is the phase that spawned the batch (sweep,
-        // uncertainty, ...) — the innermost span open *before* the batch span
-        // itself is pushed.
-        let kind = telemetry::global()
-            .current_path_prefix()
-            .trim_end_matches('/')
-            .rsplit('/')
-            .next()
-            .filter(|s| !s.is_empty())
-            .unwrap_or("adhoc")
-            .to_string();
-        let batch_span = if collect {
-            Some(telemetry::span_args(
-                "engine.batch",
-                vec![("jobs", ArgValue::U64(n as u64))],
-            ))
+        // With spans on, capture the caller's span path once so `engine.job`
+        // spans recorded on pool worker threads nest under the phase that
+        // spawned the batch (sweep, uncertainty, ...) instead of floating at
+        // top level. The job kind is that phase: the innermost span open
+        // *before* the batch span itself is pushed.
+        let (batch_span, parent, kind) = if collect {
+            let kind = telemetry::global()
+                .current_path_prefix()
+                .trim_end_matches('/')
+                .rsplit('/')
+                .next()
+                .filter(|s| !s.is_empty())
+                .unwrap_or("adhoc")
+                .to_string();
+            let span =
+                telemetry::span_args("engine.batch", vec![("jobs", ArgValue::U64(n as u64))]);
+            (Some(span), telemetry::global().current_path_prefix(), kind)
         } else {
-            None
+            (None, String::new(), String::new())
         };
-        let parent = telemetry::global().current_path_prefix();
         let timed = |i: usize| {
             let job_started = Instant::now();
             // Re-root only on detached pool threads: when a job runs inline
@@ -211,10 +208,8 @@ impl Engine {
             out
         };
         let results = self.pool.run_indexed(n, timed);
-        if collect {
-            telemetry::add(Metric::EngineJobs, n as u64);
-            telemetry::add(Metric::EngineBatches, 1);
-        }
+        telemetry::add(Metric::EngineJobs, n as u64);
+        telemetry::add(Metric::EngineBatches, 1);
         drop(batch_span);
         self.counters.record_batch(started.elapsed());
         results

@@ -12,7 +12,9 @@
 //! - **Typed counters and gauges** ([`Metric`]): a closed enum — simulator
 //!   events processed, fast-forward periods skipped, cache hits/misses,
 //!   Monte-Carlo samples, queue high-water marks — backed by one atomic each,
-//!   so recording never allocates and never locks.
+//!   so recording never allocates and never locks. Counters count whether or
+//!   not spans are enabled; [`Telemetry::metric`] reads one without
+//!   resetting it.
 //! - **Two exporters**: a human-readable tree summary
 //!   ([`Profile::render_tree`], deterministic in content ordering so snapshot
 //!   tests are stable modulo timestamps) and Chrome `trace_event` JSON
@@ -20,11 +22,16 @@
 //!
 //! ## Cost model
 //!
-//! Collection is **off by default** and effectively free when disabled: every
-//! recording entry point starts with one relaxed atomic load and returns
-//! before touching thread-local state — the same shape as the simulator's
-//! `TraceSink` no-op sink (DESIGN.md §11), except the decision is a runtime
-//! branch rather than a monomorphized constant because the CLI flips it per
+//! **Counters are always on**: [`Telemetry::add`] and
+//! [`Telemetry::gauge_max`] are one relaxed atomic read-modify-write each,
+//! whatever the enabled flag says, so a resident service reads them live
+//! (`rat serve`'s `/metrics`) without recording anything else.
+//!
+//! **Spans are opt-in** and off by default. Every span entry point starts
+//! with one relaxed atomic load and returns before touching thread-local
+//! state while disabled — the same shape as the simulator's `TraceSink`
+//! no-op sink (DESIGN.md §11), except the decision is a runtime branch
+//! rather than a monomorphized constant because the CLI flips it per
 //! invocation. Hot inner loops (the simulator's event loop, the Monte-Carlo
 //! sample loop) capture the enabled flag **once per run** into a local and
 //! never re-check it per event.
@@ -38,8 +45,8 @@
 //! poisoned guard instead of failing every later span and drain.
 //!
 //! Tests that need isolation construct their own [`Telemetry`] instance; the
-//! instrumented library code records against [`global`], which the CLI enables
-//! for `--metrics` / `--profile <path.json>`.
+//! instrumented library code records against [`global`], whose spans the CLI
+//! enables for `--metrics` / `--profile <path.json>`.
 
 pub mod chrome;
 pub mod json;
@@ -184,16 +191,10 @@ impl Metric {
         }
     }
 
-    /// Whether this metric is a high-water gauge (merged by `max`, not sum).
-    pub fn is_gauge(self) -> bool {
-        matches!(self, Metric::QueueHighWater)
-    }
-
+    /// Position in [`Metric::ALL`], which lists the variants in declaration
+    /// order (pinned by `metric_indexes_follow_all`).
     fn index(self) -> usize {
-        Metric::ALL
-            .iter()
-            .position(|m| *m == self)
-            .expect("metric present in ALL")
+        self as usize
     }
 }
 
@@ -223,8 +224,8 @@ thread_local! {
 
 static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A span/metric collector. Disabled on construction; recording calls are a
-/// single relaxed atomic load while disabled.
+/// A span/metric collector. Spans are disabled on construction (a span call
+/// is then a single relaxed atomic load); counters always count.
 pub struct Telemetry {
     id: u64,
     enabled: AtomicBool,
@@ -247,18 +248,18 @@ impl Telemetry {
         }
     }
 
-    /// Start collecting.
+    /// Start recording spans. Counters count regardless.
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Stop collecting. Already-open spans still record at exit.
+    /// Stop recording spans. Already-open spans still record at exit.
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Whether recording is currently on. Hot loops should read this once per
-    /// run into a local rather than per event.
+    /// Whether span recording is currently on. Hot loops should read this
+    /// once per run into a local rather than per event.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -363,18 +364,20 @@ impl Telemetry {
         }
     }
 
-    /// Add `n` to a counter. One atomic load + one atomic add when enabled.
+    /// Add `n` to a counter: one relaxed atomic add, spans on or off.
     pub fn add(&self, metric: Metric, n: u64) {
-        if self.is_enabled() {
-            self.counters[metric.index()].fetch_add(n, Ordering::Relaxed);
-        }
+        self.counters[metric.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raise a gauge to at least `v` (high-water semantics).
+    /// Raise a gauge to at least `v` (high-water semantics), spans on or off.
     pub fn gauge_max(&self, metric: Metric, v: u64) {
-        if self.is_enabled() {
-            self.counters[metric.index()].fetch_max(v, Ordering::Relaxed);
-        }
+        self.counters[metric.index()].fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// The current value of `metric` since the last [`Telemetry::drain`],
+    /// without resetting it.
+    pub fn metric(&self, metric: Metric) -> u64 {
+        self.counters[metric.index()].load(Ordering::Relaxed)
     }
 
     /// Merge every thread's buffer into one deterministic [`Profile`] and
@@ -652,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
+    fn disabled_collector_records_no_spans_but_counts() {
         let t = Telemetry::new();
         {
             let _a = t.span("a");
@@ -660,10 +663,15 @@ mod tests {
         }
         t.add(Metric::EngineJobs, 5);
         t.gauge_max(Metric::QueueHighWater, 9);
+        // Reading a counter does not reset it; only a drain does.
+        assert_eq!(t.metric(Metric::EngineJobs), 5);
+        assert_eq!(t.metric(Metric::EngineJobs), 5);
         let p = t.drain();
         assert!(p.spans.is_empty());
-        assert_eq!(p.metric(Metric::EngineJobs), 0);
+        assert_eq!(p.metric(Metric::EngineJobs), 5);
+        assert_eq!(p.metric(Metric::QueueHighWater), 9);
         assert_eq!(p.open_spans, 0);
+        assert_eq!(t.metric(Metric::EngineJobs), 0);
     }
 
     #[test]
@@ -725,8 +733,6 @@ mod tests {
         assert_eq!(p.metric(Metric::QueueHighWater), 9);
         // Drain resets.
         assert_eq!(t.drain().metric(Metric::SimEvents), 0);
-        assert!(Metric::QueueHighWater.is_gauge());
-        assert!(!Metric::SimEvents.is_gauge());
     }
 
     #[test]
@@ -797,6 +803,13 @@ mod tests {
         let rate = p.mc_samples_per_sec().expect("rate");
         assert!(rate > 0.0 && rate.is_finite(), "rate {rate}");
         assert!(p.render_tree().contains("mc.samples_per_sec"));
+    }
+
+    #[test]
+    fn metric_indexes_follow_all() {
+        for (i, m) in Metric::ALL.iter().enumerate() {
+            assert_eq!(m.index(), i, "{}", m.name());
+        }
     }
 
     #[test]

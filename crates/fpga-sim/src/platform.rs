@@ -417,6 +417,7 @@ impl Platform {
 
     /// The simulation body shared by the instrumented (`TEL = true`) and
     /// bare (`TEL = false`) paths; results are bit-identical between the two.
+    /// Both paths count the `sim.*` metrics; only the spans differ.
     fn execute_phases<K: HardwareKernel + ?Sized, S: TraceSink, const TEL: bool>(
         &self,
         kernel: &K,
@@ -453,9 +454,7 @@ impl Platform {
         let mut queue_high_water = 0usize;
         while let Some((_, ev)) = sim.q.pop() {
             events += 1;
-            if TEL {
-                queue_high_water = queue_high_water.max(sim.q.len());
-            }
+            queue_high_water = queue_high_water.max(sim.q.len());
             // Sync completions are the periodicity anchor: every schedule has
             // exactly one per iteration, so probing there sees each candidate
             // period exactly once.
@@ -481,11 +480,9 @@ impl Platform {
         };
         let (summary, sink) = sim.finish();
         drop(teardown_span);
-        if TEL {
-            telemetry::add(Metric::SimRuns, 1);
-            telemetry::add(Metric::SimEvents, events);
-            telemetry::gauge_max(Metric::QueueHighWater, queue_high_water as u64);
-        }
+        telemetry::add(Metric::SimRuns, 1);
+        telemetry::add(Metric::SimEvents, events);
+        telemetry::gauge_max(Metric::QueueHighWater, queue_high_water as u64);
         drop(run_span);
         Ok((summary, sink, events))
     }

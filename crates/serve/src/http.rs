@@ -9,7 +9,11 @@
 //! deliberately paranoid: per-request read deadlines, a header-size cap, and
 //! a body-size cap, mapping each failure onto the [`ApiError`] protocol
 //! statuses (408/413/400) so a misbehaving client gets a diagnosis instead
-//! of killing a worker. No chunked encoding — `Content-Length` framing only.
+//! of killing a worker. No chunked encoding — `Content-Length` framing only:
+//! any `Transfer-Encoding` header, a `Content-Length` that is not all ASCII
+//! digits, or two `Content-Length` headers that disagree is one 400 and a
+//! closed connection, never a body guessed from the wrong bytes. The head
+//! cap also bounds the header count.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,7 +21,8 @@ use std::time::{Duration, Instant};
 
 use crate::api::ApiError;
 
-/// Cap on the request line + headers, generous for hand-written clients.
+/// Cap on the request line + headers (and so on the header count),
+/// generous for hand-written clients.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Default cap on request bodies. Worksheets are a few hundred bytes; a
@@ -148,6 +153,13 @@ impl Connection {
             }
         };
 
+        // A head that completed within the read that crossed the cap is
+        // still over it.
+        if head_end > MAX_HEAD_BYTES {
+            return Err(ReadError::Protocol(ApiError::TooLarge {
+                limit: MAX_HEAD_BYTES,
+            }));
+        }
         let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
         self.buf.drain(..head_end);
 
@@ -167,19 +179,33 @@ impl Connection {
         // responses without EOF).
         let mut keep_alive = parts.next() == Some("HTTP/1.1");
 
-        let mut content_length = 0usize;
+        let mut content_length: Option<usize> = None;
         for line in lines {
             if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
+                let (name, value) = (name.trim(), value.trim());
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| {
+                    let n = parse_content_length(value).ok_or_else(|| {
                         bad(
                             "reading request",
-                            format!("unparsable Content-Length '{}'", value.trim()),
+                            format!("unparsable Content-Length '{value}'"),
                         )
                     })?;
+                    if let Some(prev) = content_length.filter(|prev| *prev != n) {
+                        return Err(bad(
+                            "reading request",
+                            format!("conflicting Content-Length headers: {prev} and {n}"),
+                        ));
+                    }
+                    content_length = Some(n);
+                } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                    return Err(bad(
+                        "reading request",
+                        format!(
+                            "Transfer-Encoding '{value}' is not supported; \
+                             send the body with Content-Length"
+                        ),
+                    ));
                 } else if name.eq_ignore_ascii_case("connection") {
-                    let value = value.trim();
                     if value.eq_ignore_ascii_case("close") {
                         keep_alive = false;
                     } else if value.eq_ignore_ascii_case("keep-alive") {
@@ -188,6 +214,7 @@ impl Connection {
                 }
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > max_body {
             return Err(ReadError::Protocol(ApiError::TooLarge { limit: max_body }));
         }
@@ -238,6 +265,15 @@ impl Connection {
             ))
         })
     }
+}
+
+/// A `Content-Length` value: ASCII digits only (no sign, no whitespace
+/// inside), and small enough to fit a `usize`.
+fn parse_content_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -329,11 +365,16 @@ mod tests {
         req
     }
 
-    fn status_of(err: ReadError) -> u16 {
+    /// The error's status and its cause line.
+    fn diagnosis(err: ReadError) -> (u16, String) {
         match err {
             ReadError::Idle => panic!("expected a protocol error, got Idle"),
-            ReadError::Protocol(e) => e.status(),
+            ReadError::Protocol(e) => (e.status(), e.to_json()),
         }
+    }
+
+    fn status_of(err: ReadError) -> u16 {
+        diagnosis(err).0
     }
 
     #[test]
@@ -431,8 +472,54 @@ mod tests {
 
     #[test]
     fn garbage_content_length_is_400() {
-        let err = round_trip(b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n").unwrap_err();
-        assert_eq!(status_of(err), 400);
+        for value in ["ten", "+4", "-4", "4 4", "0x4", "4.0", ""] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcd");
+            let (status, body) = diagnosis(round_trip(raw.as_bytes()).unwrap_err());
+            assert_eq!(status, 400, "Content-Length '{value}': {body}");
+            assert!(body.contains("Content-Length"), "{body}");
+        }
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n";
+        assert_eq!(status_of(round_trip(raw).unwrap_err()), 400);
+    }
+
+    #[test]
+    fn duplicate_content_lengths_must_agree() {
+        let (status, body) = diagnosis(
+            round_trip(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd")
+                .unwrap_err(),
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("conflicting Content-Length"), "{body}");
+        let req =
+            round_trip(b"POST /x HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd")
+                .unwrap();
+        assert_eq!(req.body, "abcd");
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_400_naming_the_header() {
+        for value in ["chunked", "gzip, chunked", "identity"] {
+            let raw = format!(
+                "POST /x HTTP/1.1\r\nTransfer-Encoding: {value}\r\n\r\n4\r\nabcd\r\n0\r\n\r\n"
+            );
+            let (status, body) = diagnosis(round_trip(raw.as_bytes()).unwrap_err());
+            assert_eq!(status, 400, "{value}: {body}");
+            assert!(body.contains("Transfer-Encoding"), "{body}");
+        }
+        // Alongside a Content-Length too: the two framings may disagree.
+        let raw =
+            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\nabcd";
+        assert_eq!(status_of(round_trip(raw).unwrap_err()), 400);
+    }
+
+    #[test]
+    fn a_head_past_the_cap_is_413_even_when_complete() {
+        let mut raw = String::from("GET /healthz HTTP/1.1\r\n");
+        while raw.len() <= MAX_HEAD_BYTES {
+            raw.push_str("X-a: b\r\n");
+        }
+        raw.push_str("\r\n");
+        assert_eq!(status_of(round_trip(raw.as_bytes()).unwrap_err()), 413);
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! histogram, and the plaintext `GET /metrics` rendering.
 //!
 //! The pipeline's own counters (engine jobs, simulator events, cache hits)
-//! come from `rat_core::telemetry`; since [`Telemetry::drain`] resets the
-//! collector, workers periodically drain into the cumulative totals held
-//! here, so `/metrics` is monotonic across the server's lifetime while the
-//! per-thread span buffers stay bounded.
+//! are the always-on atomics of `rat_core::telemetry`'s global collector.
+//! The server never enables span recording and never drains the collector:
+//! `/metrics` reads each counter in place with [`Telemetry::metric`], so the
+//! `pipeline_*` lines are monotonic over the process lifetime and cost one
+//! atomic load each to render.
 //!
-//! [`Telemetry::drain`]: rat_core::telemetry::Telemetry::drain
+//! [`Telemetry::metric`]: rat_core::telemetry::Telemetry::metric
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use fpga_sim::CacheStats;
-use rat_core::telemetry::{Metric, Profile};
+use rat_core::telemetry::{self, Metric};
 
 /// The status codes the server can emit, in rendering order.
 pub const STATUSES: [u16; 10] = [200, 400, 404, 405, 408, 413, 422, 500, 503, 507];
@@ -128,12 +129,10 @@ pub struct ServerMetrics {
     pub panics: AtomicU64,
     /// Responses by status code, indexed like [`STATUSES`].
     status_counts: [AtomicU64; STATUSES.len()],
-    /// Latency histogram over all served requests. Both locks guard
-    /// statistics only, so they recover a guard poisoned by a panicking
+    /// Latency histogram over all served requests. The lock guards
+    /// statistics only, so it recovers a guard poisoned by a panicking
     /// request rather than failing every later one.
     latency: Mutex<Histogram>,
-    /// Cumulative pipeline counters, merged from periodic telemetry drains.
-    pipeline: Mutex<[u64; Metric::ALL.len()]>,
 }
 
 impl ServerMetrics {
@@ -163,32 +162,8 @@ impl ServerMetrics {
             .unwrap_or(0)
     }
 
-    /// Merge one drained telemetry [`Profile`] into the cumulative pipeline
-    /// totals (sum for counters, max for gauges).
-    pub fn merge_profile(&self, profile: &Profile) {
-        let mut totals = self.pipeline.lock().unwrap_or_else(PoisonError::into_inner);
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            let v = profile.metric(*m);
-            if m.is_gauge() {
-                totals[i] = totals[i].max(v);
-            } else {
-                totals[i] = totals[i].saturating_add(v);
-            }
-        }
-    }
-
-    /// Cumulative value of one pipeline metric.
-    pub fn pipeline_metric(&self, metric: Metric) -> u64 {
-        let totals = self.pipeline.lock().unwrap_or_else(PoisonError::into_inner);
-        Metric::ALL
-            .iter()
-            .position(|m| *m == metric)
-            .map(|i| totals[i])
-            .unwrap_or(0)
-    }
-
     /// Render the plaintext `/metrics` body: serve-layer counters, the
-    /// latency histogram, cumulative pipeline counters, the live
+    /// latency histogram, the global pipeline counters, the live
     /// simulator-cache statistics, and (when the response cache is on) the
     /// rendered-response cache occupancy.
     pub fn render(
@@ -227,15 +202,12 @@ impl ServerMetrics {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .render(&mut out);
-        {
-            let totals = self.pipeline.lock().unwrap_or_else(PoisonError::into_inner);
-            for (i, m) in Metric::ALL.iter().enumerate() {
-                out.push_str(&format!(
-                    "pipeline_{} {}\n",
-                    m.name().replace('.', "_"),
-                    totals[i]
-                ));
-            }
+        for m in Metric::ALL {
+            out.push_str(&format!(
+                "pipeline_{} {}\n",
+                m.name().replace('.', "_"),
+                telemetry::global().metric(m)
+            ));
         }
         out.push_str(&format!("cache_hits {}\n", cache.hits));
         out.push_str(&format!("cache_misses {}\n", cache.misses));
@@ -270,16 +242,13 @@ mod tests {
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
                 let _latency = metrics.latency.lock();
-                let _pipeline = metrics.pipeline.lock();
-                panic!("poison both metric locks");
+                panic!("poison the latency lock");
             });
             assert!(poisoner.join().is_err());
         });
-        assert!(metrics.latency.is_poisoned() && metrics.pipeline.is_poisoned());
+        assert!(metrics.latency.is_poisoned());
         metrics.observe(200, Duration::from_micros(5));
-        metrics.merge_profile(&rat_core::telemetry::Telemetry::new().drain());
         assert_eq!(metrics.latency_snapshot().count(), 1);
-        assert_eq!(metrics.pipeline_metric(Metric::EngineJobs), 0);
         let body = metrics.render(&CacheStats::default(), 0, 0, 1, None);
         assert!(
             body.contains("serve_responses_total{status=\"200\"} 1"),
@@ -355,33 +324,41 @@ mod tests {
         assert!(text.contains("latency_us_count 2"), "{text}");
         assert!(text.contains("cache_hits 7"), "{text}");
         assert!(text.contains("cache_shard_contention 1"), "{text}");
-        assert!(text.contains("pipeline_mc_samples 0"), "{text}");
-        // The serving-layer counters are part of the schema even when idle:
-        // dashboards scrape them unconditionally.
-        assert!(text.contains("pipeline_cache_response_hits 0"), "{text}");
-        assert!(text.contains("pipeline_cache_response_misses 0"), "{text}");
-        assert!(
-            text.contains("pipeline_cache_response_inflight_waits 0"),
+        // Every pipeline counter is part of the schema even when idle:
+        // dashboards scrape them unconditionally, by these names in this
+        // order. The values are the global collector's, which other tests
+        // in this binary also bump.
+        let pipeline: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("pipeline_")?.split_once(' '))
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            pipeline,
+            [
+                "engine_jobs",
+                "engine_batches",
+                "sim_runs",
+                "sim_events",
+                "sim_ff_jumps",
+                "sim_ff_periods_skipped",
+                "sim_queue_high_water",
+                "mc_samples",
+                "batch_points",
+                "cache_hits",
+                "cache_misses",
+                "cache_shard_contention",
+                "optimize_generations",
+                "optimize_evals",
+                "optimize_front_size",
+                "cache_response_hits",
+                "cache_response_misses",
+                "cache_response_inflight_waits",
+            ],
             "{text}"
         );
         assert!(text.contains("serve_panics_total 0"), "{text}");
         assert!(text.contains("response_cache_entries 3"), "{text}");
         assert!(text.contains("response_cache_bytes 1234"), "{text}");
-    }
-
-    #[test]
-    fn profiles_merge_cumulatively() {
-        use rat_core::telemetry::Telemetry;
-        let m = ServerMetrics::new();
-        let t = Telemetry::new();
-        t.enable();
-        t.add(Metric::McSamples, 10);
-        t.gauge_max(Metric::QueueHighWater, 5);
-        m.merge_profile(&t.drain());
-        t.add(Metric::McSamples, 7);
-        t.gauge_max(Metric::QueueHighWater, 3);
-        m.merge_profile(&t.drain());
-        assert_eq!(m.pipeline_metric(Metric::McSamples), 17);
-        assert_eq!(m.pipeline_metric(Metric::QueueHighWater), 5);
     }
 }

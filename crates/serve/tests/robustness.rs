@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use common::{error_of, get, metric_value, post, send_raw, split_response};
+use common::{error_of, get, metric_value, post, read_response, send_raw, split_response};
 use rat_serve::api::escape_json;
 use rat_serve::{ServeConfig, Server, ServerHandle};
 
@@ -327,6 +327,74 @@ fn deep_nesting_is_a_400_and_the_daemon_survives() {
         assert!(
             causes.iter().any(|c| c.contains(cause)),
             "{what}: the cause should name the depth limit: {resp}"
+        );
+    }
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(
+        metric_value(&metrics, "serve_panics_total"),
+        Some(0),
+        "{metrics}"
+    );
+    handle.shutdown();
+}
+
+/// Framing the reader does not support, or cannot trust, is one error
+/// response and a closed connection: a body framed any other way than by
+/// one `Content-Length` would leave bytes behind that the next read parses
+/// as a second request. A header flood past the 16 KiB head cap is one 413.
+#[test]
+fn bad_framing_draws_exactly_one_response_and_the_daemon_survives() {
+    let handle = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+    let body = good_body();
+    let chunked = format!(
+        "POST /v1/solve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    );
+    let flood = format!(
+        "GET /healthz HTTP/1.1\r\n{}\r\n",
+        "X-a: b\r\n".repeat(16 * 1024 / 8)
+    );
+    let cases = [
+        ("chunked body", chunked, 400, "Transfer-Encoding"),
+        (
+            "signed Content-Length",
+            "POST /v1/solve HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello".to_string(),
+            400,
+            "Content-Length '+5'",
+        ),
+        (
+            "conflicting Content-Lengths",
+            "POST /v1/solve HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello"
+                .to_string(),
+            400,
+            "conflicting Content-Length",
+        ),
+        ("16 KiB header flood", flood, 413, "limit"),
+    ];
+    for (what, raw, want, named) in &cases {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        // The server may answer and close before reading all of a flood, so
+        // a failed write or a reset after the answer is not this test's
+        // concern: what was answered is.
+        let _ = s.write_all(raw.as_bytes());
+        let _ = s.shutdown(Shutdown::Write);
+        let (status, body) = split_response(&read_response(&mut s));
+        assert_eq!(status, *want, "{what}: {body}");
+        assert!(body.contains(named), "{what}: should name {named}: {body}");
+        let mut rest = Vec::new();
+        let _ = s.read_to_end(&mut rest);
+        assert!(
+            rest.is_empty(),
+            "{what}: a second response followed: {}",
+            String::from_utf8_lossy(&rest)
         );
     }
     let (status, _) = get(addr, "/healthz");
