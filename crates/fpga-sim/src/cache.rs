@@ -14,8 +14,8 @@
 //! [`crate::platform::Platform::execute`] uncached.
 //!
 //! The store is sharded [`SHARD_COUNT`] ways: a key selects its shard from
-//! the low bits of the 128-bit run key (uniform by construction — the key is
-//! a BLAKE-style digest), and each shard has its own `RwLock`. Concurrent
+//! the low bits of the 128-bit run key (a 128-bit FNV-1a digest, see
+//! [`crate::digest`]), and each shard has its own `RwLock`. Concurrent
 //! lookups of distinct keys proceed without serializing on one global mutex,
 //! and the [`CacheStats::shard_contention`] counter records how often a
 //! try-lock still collided.

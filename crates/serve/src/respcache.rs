@@ -13,17 +13,27 @@
 //! A second, cheaper tier keys the byte-exact `(route, body)` pair so a
 //! repeated identical request skips JSON and TOML parsing entirely; it is an
 //! alias onto the canonical entry's body, filled in after the canonical key
-//! is known.
+//! is known. It has its own shards and is charged the same byte budget
+//! again.
 //!
 //! Eviction is LRU by a global access tick under a per-shard byte budget.
-//! Flights are never evicted — a leader must always find its own marker to
-//! complete. If a leader fails (error response) or panics, its guard's
-//! `Drop` clears the flight and wakes all waiters to retry, so a poisoned
-//! request cannot wedge the cache. A panic while a shard or flight lock is
-//! held leaves at worst a byte count off by one body (eviction still stops
-//! when nothing is evictable), so the locks recover a poisoned guard.
+//! Every shard of both tiers keeps an index from stamp to key beside its
+//! map, and its invariant is: **the index holds exactly the shard's Ready
+//! entries, one stamp each, equal to the stamp in the map.** A hit moves
+//! its entry to a fresh stamp, a fill adds one, and eviction pops the
+//! oldest, so each touch and each eviction costs O(log n) in the shard's
+//! entry count. Stamps come from one global counter, so they are unique and
+//! the order is exact LRU.
+//!
+//! Flights are never in the index, so they are never evicted — a leader
+//! must always find its own marker to complete. If a leader fails (error
+//! response) or panics, its guard's `Drop` clears the flight and wakes all
+//! waiters to retry, so a poisoned request cannot wedge the cache. No code
+//! that can unwind runs between a shard's map, index and byte-count
+//! updates, so the locks recover a poisoned guard with the invariant
+//! intact; eviction stops when the index is empty in any case.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -45,21 +55,55 @@ enum FlightState {
 }
 
 enum Slot {
-    Ready { body: Arc<String>, stamp: u64 },
+    Ready {
+        body: Arc<String>,
+        stamp: u64,
+    },
+    /// Canonical tier only: the raw tier stores settled bodies.
     Pending(Arc<Flight>),
 }
 
 #[derive(Default)]
 struct Shard {
     map: HashMap<u128, Slot>,
+    /// The Ready entries by last-touch stamp, oldest first.
+    lru: BTreeMap<u64, u128>,
     /// Bytes held by Ready bodies in this shard.
     bytes: usize,
 }
 
-#[derive(Default)]
-struct RawShard {
-    map: HashMap<u128, (Arc<String>, u64)>,
-    bytes: usize,
+impl Shard {
+    /// A Ready hit, moved to the `fresh` stamp; `None` for a flight or a
+    /// miss.
+    fn touch(&mut self, key: u128, fresh: u64) -> Option<Arc<String>> {
+        let Some(Slot::Ready { body, stamp }) = self.map.get_mut(&key) else {
+            return None;
+        };
+        self.lru.remove(stamp);
+        *stamp = fresh;
+        self.lru.insert(fresh, key);
+        Some(Arc::clone(body))
+    }
+
+    /// Store a Ready body that fits `budget` on its own under a key that
+    /// holds none (a flight there is replaced), then evict the least
+    /// recently used entries until the shard fits again. The new entry is
+    /// the newest, so it survives.
+    fn fill(&mut self, key: u128, body: Arc<String>, stamp: u64, budget: usize) {
+        self.bytes += body.len();
+        self.map.insert(key, Slot::Ready { body, stamp });
+        self.lru.insert(stamp, key);
+        while self.bytes > budget {
+            let Some((_, victim)) = self.lru.pop_first() else {
+                break;
+            };
+            if let Some(Slot::Ready { body, .. }) = self.map.remove(&victim) {
+                self.bytes -= body.len();
+            }
+            #[cfg(test)]
+            tests::note_eviction(victim);
+        }
+    }
 }
 
 /// What [`ResponseCache::begin`] resolved to.
@@ -99,18 +143,11 @@ impl FlightGuard {
         let shard = &self.cache.shards[shard_of(self.key)];
         let mut sh = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(Slot::Pending(_)) = sh.map.get(&self.key) {
-            sh.map.remove(&self.key);
-            if body.len() <= self.cache.shard_budget {
-                sh.bytes += body.len();
-                sh.map.insert(
-                    self.key,
-                    Slot::Ready {
-                        body,
-                        stamp: self.cache.tick(),
-                    },
-                );
-                let budget = self.cache.shard_budget;
-                evict_over_budget(&mut sh, budget);
+            let budget = self.cache.shard_budget;
+            if body.len() <= budget {
+                sh.fill(self.key, body, self.cache.tick(), budget);
+            } else {
+                sh.map.remove(&self.key);
             }
         }
     }
@@ -145,28 +182,6 @@ fn shard_of(key: u128) -> usize {
     (key >> 124) as usize % SHARD_COUNT
 }
 
-fn evict_over_budget(sh: &mut Shard, budget: usize) {
-    while sh.bytes > budget {
-        let victim = sh
-            .map
-            .iter()
-            .filter_map(|(k, slot)| match slot {
-                Slot::Ready { stamp, .. } => Some((*k, *stamp)),
-                Slot::Pending(_) => None,
-            })
-            .min_by_key(|&(_, stamp)| stamp)
-            .map(|(k, _)| k);
-        match victim {
-            Some(k) => {
-                if let Some(Slot::Ready { body, .. }) = sh.map.remove(&k) {
-                    sh.bytes -= body.len();
-                }
-            }
-            None => break, // only flights left; nothing evictable
-        }
-    }
-}
-
 /// Point-in-time occupancy, for `/metrics` rendering and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResponseCacheStats {
@@ -179,7 +194,7 @@ pub struct ResponseCacheStats {
 /// The serving layer's rendered-response cache. One per server.
 pub struct ResponseCache {
     shards: [Mutex<Shard>; SHARD_COUNT],
-    raw_shards: [Mutex<RawShard>; SHARD_COUNT],
+    raw_shards: [Mutex<Shard>; SHARD_COUNT],
     shard_budget: usize,
     clock: AtomicU64,
 }
@@ -191,7 +206,7 @@ impl ResponseCache {
     pub fn new(total_budget_bytes: usize) -> Arc<Self> {
         Arc::new(ResponseCache {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            raw_shards: std::array::from_fn(|_| Mutex::new(RawShard::default())),
+            raw_shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             shard_budget: (total_budget_bytes / SHARD_COUNT).max(1),
             clock: AtomicU64::new(0),
         })
@@ -206,11 +221,7 @@ impl ResponseCache {
         let mut sh = self.raw_shards[shard_of(raw_key)]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let stamp = self.tick();
-        let hit = sh.map.get_mut(&raw_key).map(|(body, s)| {
-            *s = stamp;
-            Arc::clone(body)
-        });
+        let hit = sh.touch(raw_key, self.tick());
         if hit.is_some() {
             telemetry::add(Metric::ResponseCacheHits, 1);
         }
@@ -218,6 +229,7 @@ impl ResponseCache {
     }
 
     /// Alias the byte-exact request onto a body the canonical tier settled.
+    /// An existing alias keeps its body and only counts as a touch.
     pub fn alias_raw(&self, raw_key: u128, body: &Arc<String>) {
         if body.len() > self.shard_budget {
             return;
@@ -226,23 +238,8 @@ impl ResponseCache {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let stamp = self.tick();
-        match sh.map.entry(raw_key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().1 = stamp,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((Arc::clone(body), stamp));
-                sh.bytes += body.len();
-            }
-        }
-        while sh.bytes > self.shard_budget {
-            let victim = sh.map.iter().min_by_key(|(_, (_, s))| *s).map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    if let Some((body, _)) = sh.map.remove(&k) {
-                        sh.bytes -= body.len();
-                    }
-                }
-                None => break,
-            }
+        if sh.touch(raw_key, stamp).is_none() {
+            sh.fill(raw_key, Arc::clone(body), stamp, self.shard_budget);
         }
     }
 
@@ -255,28 +252,25 @@ impl ResponseCache {
                 let mut sh = self.shards[shard_of(key)]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                match sh.map.get_mut(&key) {
-                    Some(Slot::Ready { body, stamp }) => {
-                        *stamp = self.tick();
-                        let body = Arc::clone(body);
-                        telemetry::add(Metric::ResponseCacheHits, 1);
-                        return Lookup::Hit(body);
-                    }
-                    Some(Slot::Pending(flight)) => Arc::clone(flight),
-                    None => {
-                        let flight = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        sh.map.insert(key, Slot::Pending(Arc::clone(&flight)));
-                        telemetry::add(Metric::ResponseCacheMisses, 1);
-                        return Lookup::Miss(FlightGuard {
-                            cache: Arc::clone(self),
-                            key,
-                            flight,
-                            completed: false,
-                        });
-                    }
+                if let Some(body) = sh.touch(key, self.tick()) {
+                    telemetry::add(Metric::ResponseCacheHits, 1);
+                    return Lookup::Hit(body);
+                }
+                if let Some(Slot::Pending(flight)) = sh.map.get(&key) {
+                    Arc::clone(flight)
+                } else {
+                    let flight = Arc::new(Flight {
+                        state: Mutex::new(FlightState::Pending),
+                        cv: Condvar::new(),
+                    });
+                    sh.map.insert(key, Slot::Pending(Arc::clone(&flight)));
+                    telemetry::add(Metric::ResponseCacheMisses, 1);
+                    return Lookup::Miss(FlightGuard {
+                        cache: Arc::clone(self),
+                        key,
+                        flight,
+                        completed: false,
+                    });
                 }
             };
 
@@ -298,22 +292,14 @@ impl ResponseCache {
         }
     }
 
-    /// Occupancy across both tiers.
+    /// Occupancy across both tiers, read off each shard's index in
+    /// O(shards).
     pub fn stats(&self) -> ResponseCacheStats {
         let mut entries = 0;
         let mut bytes = 0;
-        for sh in &self.shards {
+        for sh in self.shards.iter().chain(&self.raw_shards) {
             let sh = sh.lock().unwrap_or_else(PoisonError::into_inner);
-            entries += sh
-                .map
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count();
-            bytes += sh.bytes;
-        }
-        for sh in &self.raw_shards {
-            let sh = sh.lock().unwrap_or_else(PoisonError::into_inner);
-            entries += sh.map.len();
+            entries += sh.lru.len();
             bytes += sh.bytes;
         }
         ResponseCacheStats { entries, bytes }
@@ -323,7 +309,38 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::Barrier;
+
+    thread_local! {
+        /// Evicted keys in eviction order, per thread so parallel tests
+        /// never see each other's.
+        static EVICTED: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note_eviction(key: u128) {
+        EVICTED.with(|e| e.borrow_mut().push(key));
+    }
+
+    fn take_evictions() -> Vec<u128> {
+        EVICTED.with(|e| std::mem::take(&mut *e.borrow_mut()))
+    }
+
+    /// Ready entries in both tiers, counted slot by slot.
+    fn recount(cache: &ResponseCache) -> usize {
+        cache
+            .shards
+            .iter()
+            .chain(&cache.raw_shards)
+            .map(|sh| {
+                let sh = sh.lock().unwrap_or_else(PoisonError::into_inner);
+                sh.map
+                    .values()
+                    .filter(|s| matches!(s, Slot::Ready { .. }))
+                    .count()
+            })
+            .sum()
+    }
 
     #[test]
     fn poisoned_shards_and_flights_keep_serving() {
@@ -354,6 +371,24 @@ mod tests {
             Some("ok")
         );
         assert_eq!(cache.stats().entries, 2);
+
+        // Fill the poisoned shard and its raw twin to four times the budget.
+        let filler = body(&"f".repeat(cache.shard_budget / 16));
+        for i in 1..=64u128 {
+            match cache.begin(key | i) {
+                Lookup::Miss(g) => g.complete(Arc::clone(&filler)),
+                Lookup::Hit(_) => panic!("fresh key cannot hit"),
+            }
+            cache.alias_raw(key | i, &filler);
+        }
+        for tier in [&cache.shards, &cache.raw_shards] {
+            let sh = tier[shard_of(key)]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            assert!(sh.bytes <= cache.shard_budget, "{} bytes", sh.bytes);
+            assert_eq!(sh.lru.len(), 16, "one budget's worth survives");
+        }
+        assert_eq!(cache.stats().entries, recount(&cache));
     }
 
     fn body(s: &str) -> Arc<String> {
@@ -480,5 +515,231 @@ mod tests {
         }
         assert!(matches!(cache.begin(3), Lookup::Miss(_)));
         assert_eq!(cache.stats().bytes, 0);
+    }
+
+    type Stamped = (Arc<String>, u64);
+
+    /// The cache as it was before the stamp index, on one thread: each
+    /// victim is found by a `min_by_key` scan over its whole shard.
+    struct ScanModel {
+        /// Per shard: key → body and stamp (`None` for a flight), and bytes.
+        shards: Vec<(HashMap<u128, Option<Stamped>>, usize)>,
+        raw_shards: Vec<(HashMap<u128, Stamped>, usize)>,
+        budget: usize,
+        clock: u64,
+    }
+
+    impl ScanModel {
+        fn new(total_budget_bytes: usize) -> Self {
+            ScanModel {
+                shards: (0..SHARD_COUNT).map(|_| Default::default()).collect(),
+                raw_shards: (0..SHARD_COUNT).map(|_| Default::default()).collect(),
+                budget: (total_budget_bytes / SHARD_COUNT).max(1),
+                clock: 0,
+            }
+        }
+
+        fn tick(&mut self) -> u64 {
+            self.clock += 1;
+            self.clock
+        }
+
+        /// A hit's body, or `None` after installing a flight (`None` slot).
+        fn begin(&mut self, key: u128) -> Option<Arc<String>> {
+            let stamp = self.tick();
+            let (map, _) = &mut self.shards[shard_of(key)];
+            match map.get_mut(&key) {
+                Some(Some((body, s))) => {
+                    *s = stamp;
+                    Some(Arc::clone(body))
+                }
+                Some(None) => panic!("the stream never begins a key it holds"),
+                None => {
+                    map.insert(key, None);
+                    None
+                }
+            }
+        }
+
+        /// Settle a flight; returns the evicted keys in order.
+        fn complete(&mut self, key: u128, body: Arc<String>) -> Vec<u128> {
+            let (stamp, budget) = (self.tick(), self.budget);
+            let (map, bytes) = &mut self.shards[shard_of(key)];
+            map.remove(&key);
+            let mut evicted = Vec::new();
+            if body.len() <= budget {
+                *bytes += body.len();
+                map.insert(key, Some((body, stamp)));
+                while *bytes > budget {
+                    let victim = map
+                        .iter()
+                        .filter_map(|(k, slot)| slot.as_ref().map(|(_, s)| (*k, *s)))
+                        .min_by_key(|&(_, s)| s)
+                        .map(|(k, _)| k);
+                    let Some(k) = victim else { break };
+                    if let Some(Some((body, _))) = map.remove(&k) {
+                        *bytes -= body.len();
+                    }
+                    evicted.push(k);
+                }
+            }
+            evicted
+        }
+
+        fn fail(&mut self, key: u128) {
+            self.shards[shard_of(key)].0.remove(&key);
+        }
+
+        fn lookup_raw(&mut self, key: u128) -> Option<Arc<String>> {
+            let stamp = self.tick();
+            let (body, s) = self.raw_shards[shard_of(key)].0.get_mut(&key)?;
+            *s = stamp;
+            Some(Arc::clone(body))
+        }
+
+        fn alias_raw(&mut self, key: u128, body: &Arc<String>) -> Vec<u128> {
+            let mut evicted = Vec::new();
+            if body.len() > self.budget {
+                return evicted;
+            }
+            let (stamp, budget) = (self.tick(), self.budget);
+            let (map, bytes) = &mut self.raw_shards[shard_of(key)];
+            match map.entry(key) {
+                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().1 = stamp,
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert((Arc::clone(body), stamp));
+                    *bytes += body.len();
+                }
+            }
+            while *bytes > budget {
+                let victim = map.iter().min_by_key(|(_, (_, s))| *s).map(|(k, _)| *k);
+                let Some(k) = victim else { break };
+                if let Some((body, _)) = map.remove(&k) {
+                    *bytes -= body.len();
+                }
+                evicted.push(k);
+            }
+            evicted
+        }
+
+        fn stats(&self) -> ResponseCacheStats {
+            let ready = self
+                .shards
+                .iter()
+                .map(|(map, _)| map.values().filter(|s| s.is_some()).count());
+            let raw = self.raw_shards.iter().map(|(map, _)| map.len());
+            let bytes = self.shards.iter().map(|(_, b)| b);
+            let raw_bytes = self.raw_shards.iter().map(|(_, b)| b);
+            ResponseCacheStats {
+                entries: ready.chain(raw).sum(),
+                bytes: bytes.chain(raw_bytes).sum(),
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream with no dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Replay `ops` seeded operations through the indexed cache and the
+    /// scan model, requiring the same answers, victims and stats after
+    /// each one.
+    fn replay(seed: u64, ops: usize) {
+        const SHARD_BUDGET: usize = 2048;
+        let cache = ResponseCache::new(SHARD_BUDGET * SHARD_COUNT);
+        let mut model = ScanModel::new(SHARD_BUDGET * SHARD_COUNT);
+        let mut rng = seed;
+        let mut held: Vec<(u128, FlightGuard)> = Vec::new();
+        let (mut hits, mut evictions) = (0usize, 0usize);
+        for step in 0..ops {
+            // Half the keys collide on shard 5; the rest spread over all 16.
+            let r = next(&mut rng);
+            let shard = if r & 1 == 0 { 5 } else { (r >> 1) % 16 };
+            let key = u128::from(shard) << 124 | u128::from((r >> 8) % 24);
+            // Mostly small bodies, some near the budget, a few over it.
+            let len = match (r >> 16) % 100 {
+                0..=89 => 16 + (r >> 24) as usize % 385,
+                90..=96 => 400 + (r >> 24) as usize % (SHARD_BUDGET - 399),
+                _ => SHARD_BUDGET + 1 + (r >> 24) as usize % SHARD_BUDGET,
+            };
+            let mut text = format!("{step}:");
+            text.extend(std::iter::repeat_n('x', len - text.len()));
+            let fresh = Arc::new(text);
+
+            let mut expect = Vec::new();
+            let held_at = held.iter().position(|(k, _)| *k == key);
+            let settle = match (r >> 40) % 100 {
+                0..=39 if held_at.is_none() => {
+                    let got = model.begin(key);
+                    match (cache.begin(key), got) {
+                        (Lookup::Hit(b), Some(m)) => {
+                            assert_eq!(b, m, "step {step}: begin body");
+                            hits += 1;
+                            None
+                        }
+                        (Lookup::Miss(g), None) => Some(g),
+                        _ => panic!("step {step}: begin {key:#x} hit/miss differs"),
+                    }
+                }
+                0..=39 => Some(held.swap_remove(held_at.unwrap()).1),
+                40..=64 => {
+                    let got = cache.lookup_raw(key);
+                    hits += usize::from(got.is_some());
+                    assert_eq!(got, model.lookup_raw(key), "step {step}: lookup_raw");
+                    None
+                }
+                65..=89 => {
+                    cache.alias_raw(key, &fresh);
+                    expect = model.alias_raw(key, &fresh);
+                    None
+                }
+                _ if held.is_empty() => None,
+                _ => Some(held.swap_remove((r >> 48) as usize % held.len()).1),
+            };
+            // A flight is completed, failed, or held pending across later
+            // evictions in its shard.
+            if let Some(guard) = settle {
+                let k = guard.key;
+                match (r >> 56) % 10 {
+                    0..=5 => {
+                        guard.complete(Arc::clone(&fresh));
+                        expect = model.complete(k, fresh);
+                    }
+                    6..=7 => {
+                        drop(guard);
+                        model.fail(k);
+                    }
+                    _ if held.len() < 4 => held.push((k, guard)),
+                    _ => {
+                        drop(guard);
+                        model.fail(k);
+                    }
+                }
+            }
+            evictions += expect.len();
+            assert_eq!(take_evictions(), expect, "step {step}: victims");
+            assert_eq!(cache.stats(), model.stats(), "step {step}: stats");
+        }
+        for (k, guard) in held {
+            drop(guard);
+            model.fail(k);
+        }
+        assert_eq!(cache.stats(), model.stats());
+        assert!(
+            hits > ops / 10 && evictions > ops / 10,
+            "{hits} hits, {evictions} evictions"
+        );
+    }
+
+    #[test]
+    fn stamp_index_evicts_exactly_like_the_scan() {
+        for seed in [1, 2, 3, 0x5EED] {
+            replay(seed, 25_000);
+        }
     }
 }
