@@ -14,6 +14,10 @@
 //! digits, or two `Content-Length` headers that disagree is one 400 and a
 //! closed connection, never a body guessed from the wrong bytes. The head
 //! cap also bounds the header count.
+//!
+//! A steady kept-alive request costs two syscalls: the socket's read
+//! timeout is set only when it changes, so a request that arrives whole
+//! takes one `read`, and each response leaves in one `write`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -62,6 +66,9 @@ pub enum ReadError {
 pub struct Connection {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// The read timeout this connection last set on `stream`, so an
+    /// unchanged deadline costs no `setsockopt`.
+    read_timeout: Option<Duration>,
 }
 
 impl Connection {
@@ -70,17 +77,20 @@ impl Connection {
         Connection {
             stream,
             buf: Vec::new(),
+            read_timeout: None,
         }
     }
 
-    /// The underlying stream, for writing responses.
+    /// The underlying stream, for writing responses. Its read timeout
+    /// belongs to [`Connection::read_request`]; do not change it here.
     pub fn stream(&mut self) -> &mut TcpStream {
         &mut self.stream
     }
 
     /// Read one request. `wait` bounds how long to sit for the *first* byte
     /// (when no pipelined bytes are already buffered); `request_timeout`
-    /// bounds each subsequent read of the same request. With `idle_wait`
+    /// bounds each subsequent read of the same request, and is armed only
+    /// when such a read is needed. With `idle_wait`
     /// set (a kept-alive connection between requests), first-byte timeout
     /// or clean EOF is [`ReadError::Idle`]; without it (a fresh connection
     /// that owes us a request), the same conditions are protocol errors —
@@ -126,8 +136,8 @@ impl Connection {
         }
         let started = Instant::now();
 
-        // Phase B: the request is underway; the per-request deadline governs.
-        self.set_timeout(request_timeout)?;
+        // Phase B: the request is underway; the per-request deadline
+        // governs every further read, and is armed just before each one.
 
         // Scan (and grow) the buffer until the blank line ending the headers.
         let head_end = loop {
@@ -139,6 +149,7 @@ impl Connection {
                     limit: MAX_HEAD_BYTES,
                 }));
             }
+            self.set_timeout(request_timeout)?;
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -227,6 +238,7 @@ impl Connection {
         let mut read = body.len();
         body.resize(content_length, 0);
         while read < content_length {
+            self.set_timeout(request_timeout)?;
             match self.stream.read(&mut body[read..]) {
                 Ok(0) => {
                     return Err(bad(
@@ -257,13 +269,19 @@ impl Connection {
         ))
     }
 
+    /// Set the socket's read timeout to `t`, unless it already is.
     fn set_timeout(&mut self, t: Duration) -> Result<(), ReadError> {
+        if self.read_timeout == Some(t) {
+            return Ok(());
+        }
         self.stream.set_read_timeout(Some(t)).map_err(|e| {
             ReadError::Protocol(ApiError::bad_request(
                 "configuring connection",
                 e.to_string(),
             ))
-        })
+        })?;
+        self.read_timeout = Some(t);
+        Ok(())
     }
 }
 
@@ -303,29 +321,32 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Write a complete response and flush, advertising whether the connection
-/// stays open. Errors are returned so the caller can count them, but a
-/// failed write to a gone client is not fatal.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// stays open. Head and body go out in one buffer through one `write_all`,
+/// so a response is one send (one TCP segment when it fits), not two.
+/// Errors are returned so the caller can count them, but a failed write to
+/// a gone client is not fatal.
+pub fn write_response<W: Write + ?Sized>(
+    stream: &mut W,
     status: u16,
     content_type: &str,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.reserve_exact(body.len());
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
 /// Write a JSON response (`application/json`).
-pub fn write_json(
-    stream: &mut TcpStream,
+pub fn write_json<W: Write + ?Sized>(
+    stream: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -338,31 +359,49 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// Feed `raw` to a fresh connection and read the first request with
-    /// first-request semantics (no idle grace).
-    fn round_trip(raw: &[u8]) -> Result<Request, ReadError> {
+    /// What one [`read_one`] call saw.
+    struct ReadOne {
+        request: Result<Request, ReadError>,
+        /// How long `read_request` took.
+        took: Duration,
+        /// The read timeout the connection was left with.
+        armed: Option<Duration>,
+    }
+
+    /// Feed `raw` to a fresh connection and read one request under the
+    /// given deadlines. The client holds its socket open until the read is
+    /// done, so a request short of bytes times out instead of seeing EOF.
+    fn read_one(raw: &[u8], wait: Duration, request_timeout: Duration, idle_wait: bool) -> ReadOne {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = raw.to_vec();
+        let (done, until_done) = std::sync::mpsc::channel::<()>();
         let client = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(&raw).unwrap();
-            // Hold the socket open so the server side sees a timeout (not
-            // EOF) if it expects more bytes than were sent.
-            std::thread::sleep(Duration::from_millis(300));
+            let _ = until_done.recv_timeout(Duration::from_secs(10));
         });
         let (stream, _) = listener.accept().unwrap();
         let mut conn = Connection::new(stream);
-        let req = conn
-            .read_request(
-                Duration::from_millis(150),
-                Duration::from_millis(150),
-                MAX_BODY_BYTES,
-                false,
-            )
+        let t0 = Instant::now();
+        let request = conn
+            .read_request(wait, request_timeout, MAX_BODY_BYTES, idle_wait)
             .map(|(req, _)| req);
+        let took = t0.elapsed();
+        let _ = done.send(());
         client.join().unwrap();
-        req
+        ReadOne {
+            request,
+            took,
+            armed: conn.read_timeout,
+        }
+    }
+
+    /// Feed `raw` to a fresh connection and read the first request with
+    /// first-request semantics (no idle grace).
+    fn round_trip(raw: &[u8]) -> Result<Request, ReadError> {
+        let t = Duration::from_millis(150);
+        read_one(raw, t, t, false).request
     }
 
     /// The error's status and its cause line.
@@ -465,6 +504,35 @@ mod tests {
     }
 
     #[test]
+    fn the_request_deadline_still_applies_after_an_idle_wait() {
+        let (wait, request_timeout) = (Duration::from_secs(2), Duration::from_millis(150));
+        for raw in [
+            &b"POST /v1/solve HTTP/1.1\r\nContent-Le"[..],
+            &b"POST /v1/solve HTTP/1.1\r\nContent-Length: 100\r\n\r\nonly-some"[..],
+        ] {
+            let seen = read_one(raw, wait, request_timeout, true);
+            let shown = String::from_utf8_lossy(raw);
+            assert_eq!(status_of(seen.request.unwrap_err()), 408, "{shown}");
+            assert!(
+                seen.took < Duration::from_secs(1),
+                "{shown}: 408 after {:?}, so the idle wait bounded a read inside the request",
+                seen.took
+            );
+            assert_eq!(seen.armed, Some(request_timeout), "{shown}");
+        }
+        // A request that arrives whole never arms the request deadline:
+        // the idle wait is the only timeout this connection set.
+        let seen = read_one(
+            b"POST /v1/solve HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd",
+            wait,
+            request_timeout,
+            true,
+        );
+        assert_eq!(seen.request.unwrap().body, "abcd");
+        assert_eq!(seen.armed, Some(wait));
+    }
+
+    #[test]
     fn oversized_declared_body_is_413() {
         let err = round_trip(b"POST /x HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n").unwrap_err();
         assert_eq!(status_of(err), 413);
@@ -520,6 +588,65 @@ mod tests {
         }
         raw.push_str("\r\n");
         assert_eq!(status_of(round_trip(raw.as_bytes()).unwrap_err()), 413);
+    }
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The one write `respond` makes, as text.
+    fn one_write(respond: impl FnOnce(&mut Writes) -> std::io::Result<()>) -> String {
+        let mut w = Writes::default();
+        respond(&mut w).unwrap();
+        assert_eq!(
+            w.0.len(),
+            1,
+            "a response must be one write, got {}",
+            w.0.len()
+        );
+        String::from_utf8(w.0.remove(0)).unwrap()
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_head_then_body() {
+        assert_eq!(
+            one_write(|w| write_json(w, 200, "{\"x\": 1}", true)),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+             Connection: keep-alive\r\n\r\n{\"x\": 1}"
+        );
+        assert_eq!(
+            one_write(|w| write_response(w, 200, "text/plain; charset=utf-8", "ok\n", false)),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 3\r\n\
+             Connection: close\r\n\r\nok\n"
+        );
+        let err = ApiError::Timeout;
+        let body = err.to_json();
+        assert_eq!(
+            one_write(|w| write_json(w, err.status(), &body, false)),
+            format!(
+                "HTTP/1.1 408 Request Timeout\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+        );
+        // No size threshold: a body far larger than the head is still one
+        // write.
+        let big = "y".repeat(100_000);
+        let sent = one_write(|w| write_json(w, 200, &big, true));
+        assert!(sent.ends_with(&format!(
+            "Content-Length: 100000\r\nConnection: keep-alive\r\n\r\n{big}"
+        )));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! [`Telemetry::metric`]: rat_core::telemetry::Telemetry::metric
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use fpga_sim::CacheStats;
@@ -20,92 +19,129 @@ use rat_core::telemetry::{self, Metric};
 /// The status codes the server can emit, in rendering order.
 pub const STATUSES: [u16; 10] = [200, 400, 404, 405, 408, 413, 422, 500, 503, 507];
 
-/// Latency histogram with power-of-two microsecond buckets: bucket `i`
-/// counts requests in `[2^i, 2^(i+1))` µs, with the last bucket open-ended.
-/// Fixed buckets keep recording lock-free-cheap (one index computation, one
-/// add under the caller's lock) and render compactly.
-#[derive(Debug, Clone)]
+/// Latency histogram with log-linear microsecond buckets. Values below
+/// 8 µs get one bucket each; above that, every power-of-two range
+/// `[2^k, 2^(k+1))` splits into four equal sub-buckets, so no bucket is
+/// wider than 25% of its lower bound and a 36 µs p50 reads differently
+/// from a 25 µs one. Every bucket has an integer exclusive upper bound,
+/// rendered as its `le`; the last bucket (from 7·2^30 µs, about 2 hours)
+/// is open-ended. All state is atomics, so recording takes no lock and a
+/// panicking request cannot poison it.
+#[derive(Debug)]
 pub struct Histogram {
-    buckets: [u64; Histogram::BUCKETS],
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
+    buckets: [AtomicU64; Histogram::BUCKETS],
+    sum_us: AtomicU64,
+    max_us: AtomicU64,
 }
 
 impl Histogram {
-    /// Bucket count: `2^31` µs ≈ 36 minutes in the top open-ended bucket.
-    pub const BUCKETS: usize = 32;
+    /// Bucket count: 8 exact buckets, then four per power of two.
+    pub const BUCKETS: usize = 128;
+
+    /// log2 of the sub-buckets per power of two.
+    const SUB_BITS: u32 = 2;
+    const SUB: usize = 1 << Histogram::SUB_BITS;
 
     /// An empty histogram.
     pub const fn new() -> Self {
         Histogram {
-            buckets: [0; Histogram::BUCKETS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
+            buckets: [const { AtomicU64::new(0) }; Histogram::BUCKETS],
+            sum_us: AtomicU64::new(0),
+            max_us: AtomicU64::new(0),
         }
     }
 
     fn bucket_index(us: u64) -> usize {
-        ((64 - us.leading_zeros()).saturating_sub(1) as usize).min(Histogram::BUCKETS - 1)
+        if us < Self::SUB as u64 {
+            return us as usize;
+        }
+        // `us >> shift` keeps the top three bits: 4..=7, the sub-bucket
+        // plus the group's leading one.
+        let shift = 63 - us.leading_zeros() - Self::SUB_BITS;
+        (shift as usize * Self::SUB + (us >> shift) as usize).min(Self::BUCKETS - 1)
+    }
+
+    /// The smallest value bucket `i` counts.
+    fn lower_bound(i: usize) -> u64 {
+        if i < Self::SUB {
+            return i as u64;
+        }
+        let (group, sub) = (i / Self::SUB, i % Self::SUB);
+        ((Self::SUB + sub) as u64) << (group - 1)
     }
 
     /// Record one request latency.
-    pub fn record(&mut self, latency: Duration) {
+    pub fn record(&self, latency: Duration) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.buckets[Self::bucket_index(us)] += 1;
-        self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
-        self.max_us = self.max_us.max(us);
+        self.buckets[Self::bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
+    /// One load of every bucket, so a rendering is self-consistent while
+    /// other threads record.
+    fn counts(&self) -> [u64; Histogram::BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Total recorded requests.
     pub fn count(&self) -> u64 {
-        self.count
+        self.counts().iter().sum()
     }
 
-    /// Estimate quantile `q` in microseconds (upper bucket bound), `None`
-    /// while empty. Bucket resolution makes this an estimate within 2x,
-    /// which is plenty to tell a 40 µs warm hit from a 40 ms cold miss.
+    /// Estimate quantile `q` in microseconds, `None` while empty: the
+    /// largest value of the bucket holding that rank (the recorded maximum
+    /// for the open-ended last bucket), so within 25% of the true value.
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
+        Self::quantile_of(&self.counts(), self.max_us.load(Ordering::Relaxed), q)
+    }
+
+    fn quantile_of(counts: &[u64; Histogram::BUCKETS], max_us: u64, q: f64) -> Option<u64> {
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
             return None;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
+        for (i, n) in counts.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return Some(if i + 1 >= Histogram::BUCKETS {
-                    self.max_us
+                return Some(if i + 1 >= Self::BUCKETS {
+                    max_us
                 } else {
-                    (1u64 << (i + 1)) - 1
+                    Self::lower_bound(i + 1) - 1
                 });
             }
         }
-        Some(self.max_us)
+        Some(max_us)
     }
 
-    /// Render as `latency_us_bucket{le="..."} n` lines plus count/sum/max.
+    /// Render as `latency_us_bucket{le="..."} n` lines (cumulative, empty
+    /// buckets skipped) plus count/sum/max and the p50/p99/p999 estimates.
     pub fn render(&self, out: &mut String) {
+        let counts = self.counts();
+        let max_us = self.max_us.load(Ordering::Relaxed);
         let mut cumulative = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
+        for (i, n) in counts.iter().enumerate() {
             cumulative += n;
             if *n == 0 {
                 continue;
             }
-            let le = if i + 1 >= Histogram::BUCKETS {
+            let le = if i + 1 >= Self::BUCKETS {
                 "+Inf".to_string()
             } else {
-                format!("{}", 1u64 << (i + 1))
+                Self::lower_bound(i + 1).to_string()
             };
             out.push_str(&format!("latency_us_bucket{{le=\"{le}\"}} {cumulative}\n"));
         }
-        out.push_str(&format!("latency_us_count {}\n", self.count));
-        out.push_str(&format!("latency_us_sum {}\n", self.sum_us));
-        out.push_str(&format!("latency_us_max {}\n", self.max_us));
+        out.push_str(&format!("latency_us_count {cumulative}\n"));
+        out.push_str(&format!(
+            "latency_us_sum {}\n",
+            self.sum_us.load(Ordering::Relaxed)
+        ));
+        out.push_str(&format!("latency_us_max {max_us}\n"));
         for (label, q) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-            if let Some(v) = self.quantile_us(q) {
+            if let Some(v) = Self::quantile_of(&counts, max_us, q) {
                 out.push_str(&format!("latency_us_{label} {v}\n"));
             }
         }
@@ -129,10 +165,8 @@ pub struct ServerMetrics {
     pub panics: AtomicU64,
     /// Responses by status code, indexed like [`STATUSES`].
     status_counts: [AtomicU64; STATUSES.len()],
-    /// Latency histogram over all served requests. The lock guards
-    /// statistics only, so it recovers a guard poisoned by a panicking
-    /// request rather than failing every later one.
-    latency: Mutex<Histogram>,
+    /// Latency histogram over all served requests.
+    latency: Histogram,
 }
 
 impl ServerMetrics {
@@ -147,10 +181,7 @@ impl ServerMetrics {
         if let Some(i) = STATUSES.iter().position(|s| *s == status) {
             self.status_counts[i].fetch_add(1, Ordering::Relaxed);
         }
-        self.latency
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(latency);
+        self.latency.record(latency);
     }
 
     /// Total responses with `status` so far.
@@ -198,10 +229,7 @@ impl ServerMetrics {
                 out.push_str(&format!("serve_responses_total{{status=\"{s}\"}} {n}\n"));
             }
         }
-        self.latency
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .render(&mut out);
+        self.latency.render(&mut out);
         for m in Metric::ALL {
             out.push_str(&format!(
                 "pipeline_{} {}\n",
@@ -222,14 +250,6 @@ impl ServerMetrics {
         }
         out
     }
-
-    /// Snapshot of the latency histogram (for bench reporting).
-    pub fn latency_snapshot(&self) -> Histogram {
-        self.latency
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
 }
 
 #[cfg(test)]
@@ -237,18 +257,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn poisoned_locks_do_not_fail_later_requests() {
+    fn a_panicking_request_does_not_fail_later_observations() {
         let metrics = ServerMetrics::new();
         std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _latency = metrics.latency.lock();
-                panic!("poison the latency lock");
+            let panicker = s.spawn(|| {
+                metrics.observe(500, Duration::from_micros(9));
+                panic!("a request thread dies after recording");
             });
-            assert!(poisoner.join().is_err());
+            assert!(panicker.join().is_err());
         });
-        assert!(metrics.latency.is_poisoned());
         metrics.observe(200, Duration::from_micros(5));
-        assert_eq!(metrics.latency_snapshot().count(), 1);
+        assert_eq!(metrics.latency.count(), 2);
         let body = metrics.render(&CacheStats::default(), 0, 0, 1, None);
         assert!(
             body.contains("serve_responses_total{status=\"200\"} 1"),
@@ -257,18 +276,48 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_power_of_two_microseconds() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 0);
-        assert_eq!(Histogram::bucket_index(2), 1);
-        assert_eq!(Histogram::bucket_index(3), 1);
-        assert_eq!(Histogram::bucket_index(4), 2);
+    fn buckets_are_log_linear_and_at_most_a_quarter_wide() {
+        for us in 0..8 {
+            assert_eq!(Histogram::bucket_index(us), us as usize, "exact below 8 µs");
+        }
+        assert_eq!(Histogram::bucket_index(8), 8);
+        assert_eq!(Histogram::bucket_index(9), 8);
+        assert_eq!(Histogram::bucket_index(10), 9);
         assert_eq!(Histogram::bucket_index(u64::MAX), Histogram::BUCKETS - 1);
+        // Bounds ascend, every value lands in the bucket its bounds name,
+        // and no closed bucket is wider than 25% of its lower bound.
+        for i in 0..Histogram::BUCKETS - 1 {
+            let (lo, hi) = (Histogram::lower_bound(i), Histogram::lower_bound(i + 1));
+            assert!(lo < hi, "bucket {i}: [{lo}, {hi})");
+            assert!(4 * (hi - lo) <= lo.max(4), "bucket {i}: [{lo}, {hi})");
+            assert_eq!(Histogram::bucket_index(lo), i);
+            assert_eq!(Histogram::bucket_index(hi - 1), i);
+        }
+        let last = Histogram::lower_bound(Histogram::BUCKETS - 1);
+        assert_eq!(Histogram::bucket_index(last), Histogram::BUCKETS - 1);
+    }
+
+    #[test]
+    fn a_change_well_under_2x_moves_the_p50() {
+        let p50 = |us: u64| {
+            let h = Histogram::new();
+            for _ in 0..1_000 {
+                h.record(Duration::from_micros(us));
+            }
+            h.quantile_us(0.5).unwrap()
+        };
+        let (before, after) = (p50(36), p50(25));
+        assert_ne!(before, after, "36 µs and 25 µs must not share a bucket");
+        // 25% apart inside one octave, where power-of-two buckets read
+        // both as 63.
+        assert_ne!(p50(36), p50(45), "36 µs and 45 µs must not share a bucket");
+        assert!((36..=45).contains(&before), "36 µs p50 read as {before}");
+        assert!((25..=31).contains(&after), "25 µs p50 read as {after}");
     }
 
     #[test]
     fn quantiles_track_recorded_latencies() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         assert_eq!(h.quantile_us(0.5), None);
         for _ in 0..99 {
             h.record(Duration::from_micros(10));
@@ -276,10 +325,7 @@ mod tests {
         h.record(Duration::from_millis(50));
         let p50 = h.quantile_us(0.50).unwrap();
         let p999 = h.quantile_us(0.999).unwrap();
-        assert!(
-            p50 <= 31,
-            "p50 estimate {p50} should be in the 10 µs bucket"
-        );
+        assert_eq!(p50, 11, "p50 estimate should be the 10 µs bucket's top");
         assert!(
             p999 >= 32_768,
             "p999 estimate {p999} should see the 50 ms outlier"
@@ -322,6 +368,9 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("latency_us_count 2"), "{text}");
+        // 100 µs lands in [96, 112), 200 µs in [192, 224): exclusive integer bounds.
+        assert!(text.contains("latency_us_bucket{le=\"112\"} 1\n"), "{text}");
+        assert!(text.contains("latency_us_bucket{le=\"224\"} 2\n"), "{text}");
         assert!(text.contains("cache_hits 7"), "{text}");
         assert!(text.contains("cache_shard_contention 1"), "{text}");
         // Every pipeline counter is part of the schema even when idle:

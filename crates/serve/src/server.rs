@@ -275,9 +275,10 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             // The wake-up connection (or a straggler past the drain point).
             break;
         }
-        // Responses are written whole, so Nagle buys nothing — and on a
-        // kept-alive connection it interacts with delayed ACK to stall
-        // every second response by tens of milliseconds.
+        // Each response is one send (`http::write_response` puts head and
+        // body in one buffer and writes it once), so Nagle buys nothing —
+        // and on a kept-alive connection it interacts with delayed ACK to
+        // stall every second response by tens of milliseconds.
         let _ = stream.set_nodelay(true);
         shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
         if let Err((mut stream, queued_at)) = shared.queue.try_push((stream, Instant::now())) {

@@ -8,7 +8,7 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{read_response, report_of, split_response};
 use rat_serve::api::escape_json;
@@ -128,11 +128,15 @@ fn slowloris_second_request_gets_408_then_close() {
     // Start a second request but stall after a few header bytes: once the
     // first byte lands the per-request deadline applies, so this is a 408
     // (not a silent idle close) followed by a hangup.
+    let stalled = Instant::now();
     s.write_all(b"POST /v1/solve HTTP/1.1\r\nContent-Le")
         .unwrap();
     let raw = read_response(&mut s);
     let (status, _) = split_response(&raw);
     assert_eq!(status, 408, "stalled second request should 408: {raw}");
+    // The 300 ms request deadline answers, not the 10 s idle wait.
+    let took = stalled.elapsed();
+    assert!(took < Duration::from_secs(3), "408 after {took:?}");
     assert!(raw.contains("Connection: close"), "{raw}");
     assert_closed_silently(&mut s);
     let summary = handle.shutdown();
